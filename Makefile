@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race chaos chaos-net cluster-check bench bench-json bench-serve bench-ingest bench-cluster bench-smoke fuzz obs-check serve vet all
+.PHONY: build test race chaos chaos-net cluster-check bench bench-json bench-serve bench-ingest bench-cluster bench-smoke perfbench fuzz obs-check serve vet all
 
 all: build vet test
 
@@ -35,10 +35,11 @@ chaos:
 # cluster while both sides take writes and ingest, heal, and require every
 # store to converge to one content hash with bit-exact estimates — plus the
 # hinted-handoff restart, epoch-guard, ingest-routing, and WAL ingest-journal
-# crash-replay proofs.
+# crash-replay proofs, and the request-deadline drills (stalled bodies, slow
+# proxy owners, a PUT whose quorum lands past its deadline).
 chaos-net:
 	$(GO) test -race ./internal/faultnet/
-	$(GO) test -race -run 'TestClusterPartition|TestAsymmetricPartition|TestReplicatedDeleteEpochGuard|TestHandoffJournal|TestClusterIngestOwnership|TestIngestJournal' \
+	$(GO) test -race -run 'TestClusterPartition|TestAsymmetricPartition|TestReplicatedDeleteEpochGuard|TestHandoffJournal|TestClusterIngestOwnership|TestIngestJournal|TestDeadline' \
 		./internal/service/
 	$(GO) test -race -run 'TestWALIngestJournal' ./internal/catalog/
 
@@ -73,6 +74,15 @@ bench-ingest:
 # non-zero when any budget is breached (see README "Cluster performance").
 bench-cluster:
 	$(GO) run ./cmd/epfis-bench -suite cluster -out BENCH_cluster.json
+
+# End-to-end benchmark (BENCHMARK.json): every workload once on seed 1,
+# untraced, PERFBENCH_SECONDS (default 20) measured seconds each. Build and
+# run state stays under .bench_build/.
+PERFBENCH_SECONDS ?= 20
+perfbench:
+	for w in serve-mix cluster-ingest offline-fit; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds $(PERFBENCH_SECONDS) --trace 0 || exit 1; \
+	done
 
 # One-iteration pass over the perf-relevant benchmarks, as run in CI.
 bench-smoke:

@@ -207,7 +207,7 @@ func runIngestSuite(out string, budgets ingestBudgets) bool {
 	if err := seedIngestCatalog(store); err != nil {
 		fatalf("ingest suite: %v", err)
 	}
-	srv, err := service.New(service.Config{Store: store, RequestTimeout: -1, IngestQueue: 1 << 16})
+	srv, err := service.New(service.Config{Store: store, IngestQueue: 1 << 16})
 	if err != nil {
 		fatalf("ingest suite: %v", err)
 	}

@@ -40,9 +40,8 @@ type serveReport struct {
 }
 
 // serveBenchServer mirrors the serving-path configuration of the
-// cmd/epfis-serve benchmarks: one fitted synthetic index, request timeout
-// disabled (http.TimeoutHandler spawns a goroutine and buffer per request,
-// which belongs to socket serving, not the path under measurement).
+// cmd/epfis-serve benchmarks: one fitted synthetic index behind the
+// production defaults (request deadline included).
 func serveBenchServer(cacheEntries int) (*service.Server, error) {
 	cfg := datagen.Config{Name: "orders", Column: "key", N: 100_000, I: 1_000, R: 40, K: 0.2, Seed: 1}
 	ds, err := datagen.GenerateDataset(cfg)
@@ -57,7 +56,7 @@ func serveBenchServer(cacheEntries int) (*service.Server, error) {
 	if _, err := store.Put(st); err != nil {
 		return nil, err
 	}
-	return service.New(service.Config{Store: store, RequestTimeout: -1, CacheEntries: cacheEntries})
+	return service.New(service.Config{Store: store, CacheEntries: cacheEntries})
 }
 
 // discardWriter is a reusable http.ResponseWriter so the measurement sees

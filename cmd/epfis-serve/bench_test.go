@@ -7,9 +7,8 @@
 //
 //	go test -bench=ServiceEstimate -benchmem ./cmd/epfis-serve
 //
-// and read allocs/op directly. Request timeouts are disabled here because
-// http.TimeoutHandler spawns a goroutine and buffer per request — socket-era
-// plumbing that would drown the measurement.
+// and read allocs/op directly. The server runs the production defaults,
+// request deadline included.
 //
 // BenchmarkServiceHTTP is the old end-to-end family (real sockets, real
 // client), kept for continuity: it measures what a remote optimizer
@@ -68,11 +67,11 @@ func benchStore(b *testing.B) *catalog.Store {
 	return store
 }
 
-// benchHandler builds the serving-path server: full handler stack, no
-// request-timeout wrapper, optional memo cache.
+// benchHandler builds the serving-path server: full handler stack in the
+// production configuration, optional memo cache.
 func benchHandler(b *testing.B, cacheEntries int) *service.Server {
 	b.Helper()
-	srv, err := service.New(service.Config{Store: benchStore(b), RequestTimeout: -1, CacheEntries: cacheEntries})
+	srv, err := service.New(service.Config{Store: benchStore(b), CacheEntries: cacheEntries})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func run(args []string) error {
 		path     = fs.String("catalog", "catalog.json", "statistics catalog file (created on first install if missing)")
 		memory   = fs.Bool("in-memory", false, "run without a catalog file (no persistence, no reload)")
 		cache    = fs.Int("cache", service.DefaultCacheEntries, "Est-IO memo cache entries (negative disables)")
-		timeout  = fs.Duration("timeout", service.DefaultRequestTimeout, "per-request timeout (negative disables)")
+		timeout  = fs.Duration("timeout", service.DefaultRequestTimeout, "per-request deadline on waits: body reads and proxy hops past it answer 503; local work (estimates, commits) runs to completion (negative disables)")
 		maxBatch = fs.Int("max-batch", service.DefaultMaxBatch, "maximum inputs per batch request")
 		quiet    = fs.Bool("quiet", false, "suppress lifecycle logging")
 		pprof    = fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")

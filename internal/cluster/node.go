@@ -137,7 +137,8 @@ type Node struct {
 	log   *slog.Logger
 
 	ring        atomic.Pointer[Ring]
-	ringVersion atomic.Uint64 // membership version the ring was built at
+	ringMu      sync.Mutex // serializes rebuilds
+	ringVersion uint64     // membership version the ring was built at; guarded by ringMu
 
 	epoch atomic.Uint64
 
@@ -527,15 +528,20 @@ func (n *Node) Merge(remote Doc) Doc {
 }
 
 // rebuildRing rebuilds the ring from the current member set if the set
-// changed since the last build.
+// changed since the last build. Rebuilds are serialized: concurrent merges
+// (a gossip round's parallel replies, inbound gossip) would otherwise let a
+// ring built from an older member set be stored last, and it would stay
+// until the next membership change.
 func (n *Node) rebuildRing() {
+	n.ringMu.Lock()
+	defer n.ringMu.Unlock()
 	v := n.mem.Version()
-	if n.ring.Load() != nil && n.ringVersion.Load() == v {
+	if n.ring.Load() != nil && n.ringVersion == v {
 		return
 	}
 	ring := BuildRing(n.mem.MemberIDs(), n.cfg.VNodes)
 	n.ring.Store(ring)
-	n.ringVersion.Store(v)
+	n.ringVersion = v
 	n.log.LogAttrs(context.Background(), slog.LevelInfo, "cluster ring rebuilt",
 		slog.Int("members", ring.Len()), slog.Uint64("memberVersion", v))
 }

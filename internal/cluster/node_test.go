@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -185,6 +186,31 @@ func TestNodeMergeDiscoversMembersAndRebuildsRing(t *testing.T) {
 		}
 		if n.Owns(k) != (owners[0].ID == "a" || owners[1].ID == "a") {
 			t.Errorf("Owns(%q) disagrees with Owners", k)
+		}
+	}
+}
+
+// Concurrent merges that each discover a new member must leave the ring
+// holding every member: a rebuild from an older member set must never be
+// stored over a newer one.
+func TestNodeConcurrentMergesKeepNewestRing(t *testing.T) {
+	const peers = 16
+	for round := 0; round < 20; round++ {
+		n, _ := NewNode(Config{SelfID: "a", SelfURL: "http://a",
+			Store: catalog.NewStore(), Replicas: 2})
+		var wg sync.WaitGroup
+		for i := 0; i < peers; i++ {
+			id := "p" + strconv.Itoa(i)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n.Merge(Doc{Self: NodeInfo{ID: id, URL: "http://" + id}})
+			}()
+		}
+		wg.Wait()
+		if got := n.Ring().Len(); got != peers+1 {
+			t.Fatalf("round %d: ring has %d members after %d concurrent merges, want %d",
+				round, got, peers, peers+1)
 		}
 	}
 }

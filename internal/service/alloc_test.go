@@ -49,16 +49,15 @@ func (w *allocWriter) reset() {
 }
 
 // newServingPathServer builds the configuration the serving benchmarks and
-// alloc gates use: request timeout disabled (http.TimeoutHandler spawns a
-// goroutine and buffer per request, which belongs to socket-level serving,
-// not the serving path under test) and admission control left on.
+// alloc gates use: the production defaults (request deadline, admission
+// control, memo cache, tracing) around one fitted index.
 func newServingPathServer(t testing.TB) (*Server, *catalog.Store) {
 	t.Helper()
 	store := catalog.NewStore()
 	if _, err := store.Put(fitStats(t, "orders", "key", 1)); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: store, RequestTimeout: -1})
+	srv, err := New(Config{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestAllocBudgetSingleTraced(t *testing.T) {
 	if _, err := store.Put(fitStats(t, "orders", "key", 1)); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: store, RequestTimeout: -1, SlowTrace: -1})
+	srv, err := New(Config{Store: store, SlowTrace: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestAllocBudgetBatch64Traced(t *testing.T) {
 	if _, err := store.Put(fitStats(t, "orders", "key", 1)); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: store, RequestTimeout: -1, SlowTrace: -1})
+	srv, err := New(Config{Store: store, SlowTrace: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

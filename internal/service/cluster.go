@@ -169,26 +169,35 @@ func (s *Server) clusterRoute(w http.ResponseWriter, r *http.Request, in *estima
 	}
 	tb.Mark(obs.StageProxy)
 	defer tb.CloseSpan()
+	s.proxyToOwners(w, r, key, http.MethodGet, r.URL.RequestURI(), nil)
+	return true
+}
+
+// proxyToOwners forwards a request for a non-owned key to its ring owners in
+// order until one answers. Every attempt runs under the one request
+// deadline, so a slow owner set costs at most one timeout in total, answered
+// 503 request timed out. Every owner unreachable within the deadline is 503
+// too: retryable, and never a number this node cannot vouch for.
+func (s *Server) proxyToOwners(w http.ResponseWriter, r *http.Request, key, method, path string, body []byte) {
 	for _, p := range s.cluster.Owners(key) {
 		if p.ID == s.cluster.SelfID() || p.URL == "" || p.State == cluster.StateDead {
 			continue
 		}
-		if s.proxyTo(w, r, p) {
+		if s.proxyRequest(w, r, p, method, path, body) {
 			s.cobs.proxied.Inc()
-			return true
+			return
+		}
+		if timedOut(w) {
+			break
 		}
 	}
-	// Every owner was unreachable. 503 is the honest answer: retryable, and
-	// never a number this node cannot vouch for.
 	s.cobs.proxyFailures.Inc()
+	if timedOut(w) {
+		writeTimedOut(w)
+		return
+	}
 	writeRetryable(w, http.StatusServiceUnavailable,
 		fmt.Errorf("%w %s", errAllOwnersDown, key), time.Second)
-	return true
-}
-
-// proxyTo forwards the estimate request to one owner.
-func (s *Server) proxyTo(w http.ResponseWriter, r *http.Request, p cluster.PeerInfo) bool {
-	return s.proxyRequest(w, r, p, http.MethodGet, r.URL.RequestURI(), nil)
 }
 
 // proxyRequest forwards a request to one peer with the given method, path,
@@ -198,13 +207,20 @@ func (s *Server) proxyTo(w http.ResponseWriter, r *http.Request, p cluster.PeerI
 // The outbound request carries this node's id plus a child traceparent
 // derived from the inbound request's trace (read from the request's trace
 // buffer, never from response headers), and the sender records one forward
-// hop so the stitched trace shows the proxy edge.
+// hop so the stitched trace shows the proxy edge. The hop runs under the
+// request deadline.
 func (s *Server) proxyRequest(w http.ResponseWriter, r *http.Request, p cluster.PeerInfo, method, path string, body []byte) bool {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(r.Context(), method, p.URL+path, rd)
+	ctx := r.Context()
+	if dl := deadlineOf(w); !dl.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, dl)
+		defer cancel()
+	}
+	req, err := http.NewRequestWithContext(ctx, method, p.URL+path, rd)
 	if err != nil {
 		return false
 	}

@@ -41,8 +41,9 @@ func (n *fnode) host() string { return strings.TrimPrefix(n.url, "http://") }
 // crosses a deterministic faultnet injector, so tests can partition the
 // cluster without touching real sockets. DeadAfter is effectively infinite:
 // partitions in these drills heal, and a peer that went "dead" would change
-// the replication decision being tested.
-func startFaultCluster(t testing.TB, n, replicas int) []*fnode {
+// the replication decision being tested. Each tweak adjusts every node's
+// service Config before it is built.
+func startFaultCluster(t testing.TB, n, replicas int, tweaks ...func(*Config)) []*fnode {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -80,13 +81,17 @@ func startFaultCluster(t testing.TB, n, replicas int) []*fnode {
 			t.Fatal(err)
 		}
 		handoffDir := filepath.Join(dir, "hints")
-		srv, err := New(Config{
+		cfg := Config{
 			Store:            store,
 			Cluster:          node,
 			Transport:        inj,
 			ReplicateTimeout: 500 * time.Millisecond,
 			HandoffDir:       handoffDir,
-		})
+		}
+		for _, tweak := range tweaks {
+			tweak(&cfg)
+		}
+		srv, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

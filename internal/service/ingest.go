@@ -263,7 +263,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	g := s.ingest
 	var req IngestRequest
 	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeBodyError(w, err)
 		return
 	}
 	if req.Table == "" || req.Column == "" {
@@ -385,18 +385,7 @@ func (s *Server) forwardIngest(w http.ResponseWriter, r *http.Request, req *Inge
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	for _, p := range s.cluster.Owners(key) {
-		if p.ID == s.cluster.SelfID() || p.URL == "" || p.State == cluster.StateDead {
-			continue
-		}
-		if s.proxyRequest(w, r, p, http.MethodPost, "/v1/ingest", body) {
-			s.cobs.proxied.Inc()
-			return
-		}
-	}
-	s.cobs.proxyFailures.Inc()
-	writeRetryable(w, http.StatusServiceUnavailable,
-		fmt.Errorf("%w %s", errAllOwnersDown, key), time.Second)
+	s.proxyToOwners(w, r, key, http.MethodPost, "/v1/ingest", body)
 }
 
 // addPending records a journaled batch as live: its frame is carried across

@@ -38,8 +38,18 @@
 //
 // Invalid estimation inputs surface as HTTP 400 carrying the core package's
 // typed sentinel message; unknown indexes as 404. Handlers run behind
-// panic-recovery and request-timeout middleware, and Run drains in-flight
-// requests on context cancellation (SIGTERM in cmd/epfis-serve).
+// panic-recovery middleware, and Run drains in-flight requests on context
+// cancellation (SIGTERM in cmd/epfis-serve).
+//
+// # Request deadline
+//
+// Each request carries one deadline, start + Config.RequestTimeout, on its
+// pooled status recorder. It bounds waiting, not work: a request-body read
+// runs under it as the connection read deadline, and a proxied estimate or
+// forwarded ingest batch runs every owner attempt under it as one context
+// deadline. A request that runs out of time there is answered 503
+// {"error":"request timed out"}. Local CPU and fsync work is not cut short:
+// a PUT whose commit finishes after the deadline reports its real outcome.
 //
 // # Resilience
 //
@@ -85,10 +95,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -122,8 +134,9 @@ type Config struct {
 	// CacheEntries sizes the Est-IO memo cache (total entries across
 	// shards). 0 = DefaultCacheEntries; negative disables memoization.
 	CacheEntries int
-	// RequestTimeout bounds each request's total handling time.
-	// 0 = DefaultRequestTimeout; negative disables the timeout.
+	// RequestTimeout bounds how long a request waits: reading its body and
+	// proxying it to an owner (see "Request deadline" above). Local work is
+	// not interrupted. 0 = DefaultRequestTimeout; negative disables it.
 	RequestTimeout time.Duration
 	// MaxBatch caps the number of inputs per batch request.
 	// 0 = DefaultMaxBatch.
@@ -212,6 +225,7 @@ type Server struct {
 	obs      *serverObs
 	handler  http.Handler
 	maxBatch int
+	timeout  time.Duration // request deadline offset; 0 = none
 
 	inflight map[string]chan struct{} // per-route admission tokens; nil route = unbounded
 	breaker  *resilience.Breaker      // nil when disabled
@@ -256,9 +270,15 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		store:    cfg.Store,
 		maxBatch: cfg.MaxBatch,
+		timeout:  cfg.RequestTimeout,
 	}
 	if s.maxBatch == 0 {
 		s.maxBatch = DefaultMaxBatch
+	}
+	if s.timeout == 0 {
+		s.timeout = DefaultRequestTimeout
+	} else if s.timeout < 0 {
+		s.timeout = 0
 	}
 	switch {
 	case cfg.CacheEntries == 0:
@@ -299,16 +319,6 @@ func New(cfg Config) (*Server, error) {
 		// hops land next to served requests in /debug/traces (nil when
 		// tracing is disabled — the node then skips hop recording).
 		s.cluster.SetTraceRing(s.obs.ring)
-		timeout := cfg.RequestTimeout
-		if timeout == 0 {
-			timeout = DefaultRequestTimeout
-		} else if timeout < 0 {
-			// Same contract as the handler timeout: negative disables it.
-			// Client.Timeout arms a timer, a cancel context, and a body
-			// wrapper on every forwarded request; with it off, cancellation
-			// still flows in from the inbound request context.
-			timeout = 0
-		}
 		tr := cfg.Transport
 		if tr == nil {
 			// Default to the pooled cluster transport: proxying, replication,
@@ -317,7 +327,9 @@ func New(cfg Config) (*Server, error) {
 			// 2-idle-conns-per-host pool.
 			tr = cluster.SharedTransport()
 		}
-		s.proxyHTTP = &http.Client{Timeout: timeout, Transport: tr}
+		// No Client.Timeout: a forwarded request runs under the inbound
+		// request's deadline, and replication sends under their own.
+		s.proxyHTTP = &http.Client{Transport: tr}
 		s.replTimeout = cfg.ReplicateTimeout
 		if s.replTimeout <= 0 {
 			s.replTimeout = DefaultReplicateTimeout
@@ -397,15 +409,7 @@ func New(cfg Config) (*Server, error) {
 		mux.Handle(routeClusterMetrics, s.instrument(routeClusterMetrics, s.handleClusterMetrics))
 	}
 
-	var h http.Handler = mux
-	timeout := cfg.RequestTimeout
-	if timeout == 0 {
-		timeout = DefaultRequestTimeout
-	}
-	if timeout > 0 {
-		h = http.TimeoutHandler(h, timeout, `{"error":"request timed out"}`)
-	}
-	s.handler = h
+	s.handler = mux
 	return s, nil
 }
 
@@ -457,7 +461,8 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // instrument wraps a handler with admission control, panic recovery,
-// per-route metrics, and request tracing. The route's instruments are
+// per-route metrics, request tracing, and the request deadline (stamped on
+// the recorder; see "Request deadline"). The route's instruments are
 // resolved once at wrap time, so per-request recording touches no maps. With
 // tracing on, the incoming traceparent is parsed (or a fresh identity
 // generated), echoed on the response, and a pooled span buffer rides the
@@ -471,6 +476,10 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		start := time.Now()
 		rec := recPool.Get().(*statusRecorder)
 		rec.ResponseWriter, rec.status, rec.wrote, rec.trace = w, http.StatusOK, false, nil
+		rec.deadline = time.Time{}
+		if s.timeout > 0 {
+			rec.deadline = start.Add(s.timeout)
+		}
 		if tracing {
 			tp, hasParent := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
 			var parent obs.SpanID
@@ -522,6 +531,11 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 				// The route is saturated: shed now, cheaply, instead of
 				// queueing work the client will have timed out on.
 				s.met.sheds.Add(1)
+				if r.ContentLength != 0 {
+					// The body goes unread. net/http discards it before the
+					// 429 goes out; the deadline bounds that read too.
+					setBodyDeadline(rec, true)
+				}
 				rec.Header().Set("Retry-After", "1")
 				writeError(rec, http.StatusTooManyRequests, errOverloaded)
 				return
@@ -532,15 +546,16 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 }
 
 // statusRecorder captures the response status for metrics and carries the
-// request's trace buffer to the handlers (avoiding a context allocation).
-// Instances are pooled by instrument; a recorder is returned to the pool
-// only after the handler and its deferred metrics observation are both done
-// with it.
+// request's trace buffer and deadline to the handlers (avoiding a context
+// allocation). Instances are pooled by instrument; a recorder is returned to
+// the pool only after the handler and its deferred metrics observation are
+// both done with it.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
-	wrote  bool
-	trace  *obs.TraceBuf
+	status   int
+	wrote    bool
+	trace    *obs.TraceBuf
+	deadline time.Time // zero = no request deadline
 }
 
 var recPool = sync.Pool{New: func() any { return new(statusRecorder) }}
@@ -556,6 +571,75 @@ func (r *statusRecorder) WriteHeader(code int) {
 func (r *statusRecorder) Write(b []byte) (int, error) {
 	r.wrote = true
 	return r.ResponseWriter.Write(b)
+}
+
+// Unwrap lets http.ResponseController reach the connection's writer (Flush,
+// deadlines) through the recorder.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
+// deadlineOf returns the request's deadline; zero when the timeout is off or
+// w is not a recorder.
+func deadlineOf(w http.ResponseWriter) time.Time {
+	if rec, ok := w.(*statusRecorder); ok {
+		return rec.deadline
+	}
+	return time.Time{}
+}
+
+// timedOut reports whether the request's deadline has passed.
+func timedOut(w http.ResponseWriter) bool {
+	dl := deadlineOf(w)
+	return !dl.IsZero() && !time.Now().Before(dl)
+}
+
+// readDeadliner is the connection-deadline method net/http's response
+// writers (HTTP/1 and HTTP/2) carry; asserting on it directly costs nothing,
+// where http.NewResponseController allocates per call.
+type readDeadliner interface{ SetReadDeadline(time.Time) error }
+
+// setBodyDeadline arms (on) or clears (!on) the request deadline as the
+// connection read deadline around a request-body read. A handler clears it
+// after a successful read: net/http's background read after the body's EOF
+// would otherwise hit the deadline and cancel the request context. After a
+// failed read it stays armed, so net/http's post-handler discard of the
+// unread body cannot block on a stalled client either; the connection then
+// closes. Writers that cannot set one (test recorders) are left alone.
+func setBodyDeadline(w http.ResponseWriter, on bool) {
+	dl := deadlineOf(w)
+	if dl.IsZero() {
+		return
+	}
+	for {
+		switch v := w.(type) {
+		case readDeadliner:
+			if !on {
+				dl = time.Time{}
+			}
+			_ = v.SetReadDeadline(dl)
+			return
+		case interface{ Unwrap() http.ResponseWriter }:
+			w = v.Unwrap()
+		default:
+			return
+		}
+	}
+}
+
+// writeTimedOut answers a request whose deadline passed while it waited.
+func writeTimedOut(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusServiceUnavailable)
+	_, _ = io.WriteString(w, `{"error":"request timed out"}`)
+}
+
+// writeBodyError answers a failed request-body read or decode: 503 timed out
+// when the request deadline cut the read, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		writeTimedOut(w)
+		return
+	}
+	writeError(w, http.StatusBadRequest, err)
 }
 
 // EstimateRequest is one Est-IO input addressed at a catalog entry. S is a
@@ -692,6 +776,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tb.Mark(obs.StageParse)
 	scratch := getBatchScratch()
 	defer putBatchScratch(scratch)
+	setBodyDeadline(w, true)
 	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), scratch.body)
 	scratch.body = body
 	if err != nil {
@@ -704,9 +789,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("%w: body exceeds %d bytes", ErrBatchTooLarge, mbe.Limit))
 			return
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request body: %w", err))
+		writeBodyError(w, fmt.Errorf("decode request body: %w", err))
 		return
 	}
+	setBodyDeadline(w, false)
 	// One string conversion for the whole body; every item field decodes as a
 	// substring of it.
 	if err := decodeBatchBody(string(body), s.maxBatch, scratch); err != nil {
@@ -859,7 +945,7 @@ func (s *Server) handlePutIndex(w http.ResponseWriter, r *http.Request) {
 	table, column := r.PathValue("table"), r.PathValue("column")
 	var e stats.IndexStats
 	if err := decodeJSON(w, r, &e); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeBodyError(w, err)
 		return
 	}
 	if e.Table == "" {
@@ -1095,12 +1181,15 @@ func statusOf(err error) int {
 	}
 }
 
+// decodeJSON decodes a request body into v under the request deadline.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
+	setBodyDeadline(w, true)
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decode request body: %w", err)
 	}
+	setBodyDeadline(w, false)
 	return nil
 }
 
