@@ -207,7 +207,9 @@ func main() {
 		})),
 	)
 
-	// --- Measure: pooled parallel path vs the per-scan-allocation loop. ---
+	// --- Measure: one whole-trace window index vs the per-scan-allocation
+	// loop. The row keeps its old "pooled" name so its history stays
+	// comparable. ---
 	// Same shape as the internal/workload Measure benchmarks, so the two
 	// harnesses report comparable numbers.
 	ds, err := datagen.GenerateDataset(datagen.Config{

@@ -136,24 +136,11 @@ func (d *Dataset) Trace() lrusim.Trace {
 // SliceTrace returns the trace of entries [lo, hi) — a partial scan in index
 // order.
 func (d *Dataset) SliceTrace(lo, hi int) lrusim.Trace {
-	return d.SliceTraceInto(nil, lo, hi)
-}
-
-// SliceTraceInto is SliceTrace writing into buf's storage when it has the
-// capacity, for callers that measure many scans and want to reuse one
-// buffer. The returned trace aliases buf; it is only valid until the next
-// reuse.
-func (d *Dataset) SliceTraceInto(buf lrusim.Trace, lo, hi int) lrusim.Trace {
-	n := hi - lo
-	if cap(buf) < n {
-		buf = make(lrusim.Trace, n)
-	} else {
-		buf = buf[:n]
+	tr := make(lrusim.Trace, hi-lo)
+	for i := range tr {
+		tr[i] = storage.PageID(d.PageOf[lo+i])
 	}
-	for i := lo; i < hi; i++ {
-		buf[i-lo] = storage.PageID(d.PageOf[i])
-	}
-	return buf
+	return tr
 }
 
 // FilteredSliceTrace returns the trace of entries in [lo, hi) whose minor

@@ -11,7 +11,7 @@
 // a histogram; a reference is a hit in a pool of size B if and only if d <= B,
 // so F(B) = cold misses + #\{references with d > B\}.
 //
-// Two stack-distance implementations are provided with identical output:
+// Four stack-distance engines produce identical output:
 //
 //   - ListSimulator: the textbook move-to-front list, O(n * avg depth). This
 //     mirrors the paper's description most literally (hash table avoids the
@@ -19,9 +19,20 @@
 //   - TreeSimulator: a Fenwick tree over reference positions, O(n log n).
 //     The stack distance equals the number of distinct pages referenced since
 //     the page's previous reference, which is a prefix-sum query.
+//   - Scratch: the same Fenwick pass with every working structure reused
+//     across traces (Analyze and AnalyzePooled go through it).
+//   - Accum: the mergeable, incremental form of the pass, fed batch by batch.
 //
-// Property tests in this package check the two against each other and against
-// the real LRU buffer pool in internal/buffer.
+// Windows builds on Scratch. A reference whose previous reference to its page
+// lies inside a window [lo, hi) of the trace has the same stack distance in
+// the window as in the whole trace, and every other reference in the window
+// is a cold miss there. So one pass over the whole trace yields the exact
+// fetch curve of every window by a linear filter. This is how the
+// evaluation's partial scans are measured.
+//
+// Property tests in this package check the engines against each other, the
+// window curves against a separate pass over each sliced trace, and the
+// curves against the real LRU buffer pool in internal/buffer.
 package lrusim
 
 import (

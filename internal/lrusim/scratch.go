@@ -10,9 +10,9 @@ import (
 // histograms and fetch curves of TreeSimulator, but keeps every working
 // structure — the Fenwick array, the per-page last-position table, the
 // page-id remap, and the stack-distance counts — between runs, so repeated
-// analyses (the 200 scans per error sweep, the calibration bisection, the
-// modeling pass per figure) allocate only the result they return instead of
-// three large structures per trace.
+// analyses (the calibration bisection, the modeling pass per figure, the
+// whole-trace pass behind each Windows index) allocate only the result they
+// return instead of three large structures per trace.
 //
 // Two further optimizations over TreeSimulator:
 //
@@ -26,9 +26,8 @@ import (
 //     into the cumulative FetchCurve form, skipping the intermediate
 //     Histogram allocation on the Curve path.
 //
-// A Scratch is not safe for concurrent use; give each goroutine its own
-// (workload.Measure does), or go through Analyze, which draws from an
-// internal pool.
+// A Scratch is not safe for concurrent use; give each goroutine its own, or
+// go through Analyze or NewWindows, which draw from an internal pool.
 type Scratch struct {
 	fen     []int32 // Fenwick tree over trace positions, 1-based
 	lastPos []int32 // dense page id -> position of its most recent reference
@@ -42,10 +41,6 @@ type Scratch struct {
 
 	// Dense remap, map path (raw ids too sparse for the slice).
 	remap map[storage.PageID]int32
-
-	// One-shot page-id bound from ResetHint, consumed by the next reset.
-	hintMax storage.PageID
-	hintSet bool
 }
 
 // NewScratch returns an empty reusable simulator.
@@ -59,23 +54,11 @@ const (
 	maxSliceRemapSlack  = 1024
 )
 
-// ResetHint tells the next Run/Analyze call the trace's page-id bound, so
-// reset can pick the remap representation without its O(len(trace)) max-id
-// scan. maxID must be >= every page id in the next trace (datagen traces
-// number pages 0..T-1, so T-1 is exact); an id above the hint panics on the
-// slice path, the same way an out-of-range index would. The hint applies to
-// exactly one run — it is consumed by the next reset and scanning resumes
-// afterwards.
-func (s *Scratch) ResetHint(maxID storage.PageID) {
-	s.hintMax = maxID
-	s.hintSet = true
-}
-
 // Run implements Simulator: it consumes the trace and returns a fresh
 // Histogram (the counts are copied out of the scratch buffer, so the result
 // outlives any further reuse).
 func (s *Scratch) Run(t Trace) *Histogram {
-	cold := s.pass(t)
+	cold := s.pass(t, nil)
 	h := &Histogram{Total: int64(len(t)), Cold: cold}
 	h.Counts = make([]int64, s.maxDist+1)
 	copy(h.Counts, s.counts[:s.maxDist+1])
@@ -86,7 +69,7 @@ func (s *Scratch) Run(t Trace) *Histogram {
 // allocation-lean path: the only allocations are the returned FetchCurve and
 // its cumulative array (both must escape; everything else is reused).
 func (s *Scratch) Analyze(t Trace) *FetchCurve {
-	cold := s.pass(t)
+	cold := s.pass(t, nil)
 	cum := make([]int64, s.maxDist+1)
 	var run int64
 	for d := 1; d <= s.maxDist; d++ {
@@ -97,34 +80,51 @@ func (s *Scratch) Analyze(t Trace) *FetchCurve {
 }
 
 // pass runs the one-pass stack simulation, leaving the per-distance counts
-// in s.counts[1..s.maxDist] and returning the cold-miss count.
-func (s *Scratch) pass(t Trace) int64 {
+// in s.counts[1..s.maxDist] and returning the cold-miss count. When rec is
+// non-nil (len(rec) == len(t)) it also records every reference's previous
+// position and stack distance there, the input of Windows.
+//
+// The Fenwick tree is kept so that, for every page x seen, the prefix sum up
+// to lastPos[x] counts the pages whose latest reference is at or before x's.
+// A reuse of a page last seen at prev then follows live - prefix(prev)
+// latest references of other pages, and its distance is that count + 1: one
+// prefix query. A reuse of the page just referenced (prev == i-1) has
+// distance 1 and leaves the tree alone. Its +1 stays at the start of the run
+// of repeats and a later move subtracts 1 at the run's end, so only prefixes
+// ending inside the run read wrong, and no page's lastPos is there again.
+func (s *Scratch) pass(t Trace, rec []reuse) int64 {
 	n := len(t)
 	s.reset(n, t)
 
 	var cold int64
-	next := int32(0) // next dense id to assign
+	live := int32(0) // distinct pages so far; also the next dense id
 	for i, pg := range t {
-		id, seen := s.denseID(pg, next)
+		id, seen := s.denseID(pg, live)
 		if !seen {
-			next++
+			live++
 			cold++
 			s.lastPos[id] = int32(i)
 			s.fenAdd(i+1, 1)
+			if rec != nil {
+				rec[i] = reuse{prev: -1}
+			}
 			continue
 		}
 		prev := int(s.lastPos[id])
-		// Distinct pages referenced strictly between prev and i: the
-		// most-recent-reference markers after prev, excluding the page's own
-		// marker still sitting at prev; distance is that count + 1.
-		d := s.fenRange(prev+1, i-1) + 1
+		s.lastPos[id] = int32(i)
+		d := 1
+		if prev != i-1 {
+			d = int(live) - s.fenPrefix(prev+1) + 1
+			s.fenAdd(prev+1, -1)
+			s.fenAdd(i+1, 1)
+		}
 		if d > s.maxDist {
 			s.maxDist = d
 		}
 		s.counts[d]++
-		s.fenAdd(prev+1, -1)
-		s.lastPos[id] = int32(i)
-		s.fenAdd(i+1, 1)
+		if rec != nil {
+			rec[i] = reuse{prev: int32(prev), dist: int32(d)}
+		}
 	}
 	return cold
 }
@@ -159,17 +159,11 @@ func (s *Scratch) reset(n int, t Trace) {
 	}
 	s.maxDist = 0
 
-	// Choose the remap representation from the trace's id range, taking the
-	// caller's bound when one was hinted instead of scanning the trace.
+	// Choose the remap representation from the trace's id range.
 	maxID := storage.PageID(0)
-	if s.hintSet {
-		maxID = s.hintMax
-		s.hintSet = false
-	} else {
-		for _, pg := range t {
-			if pg > maxID {
-				maxID = pg
-			}
+	for _, pg := range t {
+		if pg > maxID {
+			maxID = pg
 		}
 	}
 	if int64(maxID) < int64(maxSliceRemapFactor)*int64(n)+maxSliceRemapSlack {
@@ -222,27 +216,17 @@ func (s *Scratch) fenAdd(i int, delta int32) {
 	}
 }
 
+// fenPrefix sums positions 1..i, 1-based.
 func (s *Scratch) fenPrefix(i int) int {
 	sum := 0
-	if i >= len(s.fen) {
-		i = len(s.fen) - 1
-	}
 	for ; i > 0; i -= i & (-i) {
 		sum += int(s.fen[i])
 	}
 	return sum
 }
 
-// fenRange sums positions lo..hi inclusive, 0-based trace coordinates.
-func (s *Scratch) fenRange(lo, hi int) int {
-	if hi < lo {
-		return 0
-	}
-	return s.fenPrefix(hi+1) - s.fenPrefix(lo)
-}
-
-// scratchPool backs the package-level Analyze so every existing call site
-// gets the pooled path without holding a Scratch of its own.
+// scratchPool backs the package-level Analyze and NewWindows so their
+// callers get the pooled path without holding a Scratch of their own.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // AnalyzePooled computes the trace's fetch curve using a pooled Scratch.

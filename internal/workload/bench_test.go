@@ -104,7 +104,7 @@ func benchScans(b *testing.B) (*Generator, []Scan) {
 }
 
 // BenchmarkMeasure200Scans is the paper's per-figure measurement workload:
-// 200 partial scans, one Mattson pass each, with pooled per-worker scratch.
+// 200 partial scans read off one whole-trace Mattson pass.
 func BenchmarkMeasure200Scans(b *testing.B) {
 	g, scans := benchScans(b)
 	b.ReportAllocs()

@@ -22,14 +22,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"epfis/internal/datagen"
 	"epfis/internal/lrusim"
-	"epfis/internal/storage"
 )
 
 // Scan is one partial index scan, expressed over the dataset's index-entry
@@ -135,59 +131,21 @@ type Measured struct {
 	Curve *lrusim.FetchCurve
 }
 
-// Measure computes the fetch curve of each scan's partial trace with one
-// Mattson stack pass per scan. The curve gives the ground-truth a_i for
-// every buffer size simultaneously. Passes are independent pure
-// computations, so they run on all CPUs; the result order matches scans.
-// Workers claim scan indexes off an atomic counter (no feeder goroutine,
-// no per-index channel handoff) and each owns one lrusim.Scratch plus one
-// trace buffer, so a 200-scan measurement reuses per-worker structures
-// instead of allocating fresh maps, trees, and histograms per scan.
+// Measure computes the exact LRU fetch curve of each scan's partial trace;
+// the curve gives the ground-truth a_i for every buffer size at once. Every
+// scan is a window [Lo, Hi) of the full index-order trace, so one Mattson
+// pass over that trace (lrusim.Windows) serves them all: each scan's curve
+// is then a linear filter over its window, bit-identical to a separate
+// stack pass over the sliced trace. The result order matches scans.
 func Measure(ds *datagen.Dataset, scans []Scan) []Measured {
 	out := make([]Measured, len(scans))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(scans) {
-		workers = len(scans)
-	}
-	// Dataset pages are numbered 0..T-1, so T-1 bounds every trace the
-	// workers build; hinting it skips Scratch's per-scan max-id scan.
-	maxPage := storage.PageID(0)
-	if ds.T > 0 {
-		maxPage = storage.PageID(ds.T - 1)
-	}
-	measureRange := func(scratch *lrusim.Scratch, buf lrusim.Trace, i int) lrusim.Trace {
-		s := scans[i]
-		buf = ds.SliceTraceInto(buf, s.Lo, s.Hi)
-		scratch.ResetHint(maxPage)
-		out[i] = Measured{Scan: s, Curve: scratch.Analyze(buf)}
-		return buf
-	}
-	if workers <= 1 {
-		scratch := lrusim.NewScratch()
-		var buf lrusim.Trace
-		for i := range scans {
-			buf = measureRange(scratch, buf, i)
-		}
+	if len(scans) == 0 {
 		return out
 	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := lrusim.NewScratch()
-			var buf lrusim.Trace
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(scans) {
-					return
-				}
-				buf = measureRange(scratch, buf, i)
-			}
-		}()
+	w := lrusim.NewWindows(ds.Trace())
+	for i, s := range scans {
+		out[i] = Measured{Scan: s, Curve: w.Curve(s.Lo, s.Hi)}
 	}
-	wg.Wait()
 	return out
 }
 

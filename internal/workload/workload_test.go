@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -233,23 +234,80 @@ func TestScanCoversRequestedFractionProperty(t *testing.T) {
 	}
 }
 
-func TestMeasureParallelMatchesSerial(t *testing.T) {
+// curveMismatch reports the first buffer size in 1..t+1 at which two fetch
+// curves differ, or 0 when they agree everywhere, in A and N included.
+func curveMismatch(a, b *lrusim.FetchCurve, t int64) int {
+	for bs := 1; bs <= int(t)+1; bs++ {
+		if a.Fetches(bs) != b.Fetches(bs) {
+			return bs
+		}
+	}
+	if a.Accesses() != b.Accesses() || a.Total() != b.Total() {
+		return -1
+	}
+	return 0
+}
+
+func TestMeasureMatchesPerScanAnalyze(t *testing.T) {
+	// Every curve read off the whole-trace window index must equal a
+	// separate stack pass over the scan's sliced trace at every buffer size
+	// (the full scan included), in scan order.
 	ds := dataset(t, 20_000, 200, 0.7, 9)
 	g, err := NewGenerator(ds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scans := g.Mix(64, 0.5)
-	got := Measure(ds, scans) // parallel path (many scans)
+	scans := append(g.Mix(64, 0.5), g.Full())
+	got := Measure(ds, scans)
+	if len(got) != len(scans) {
+		t.Fatalf("Measure returned %d curves for %d scans", len(got), len(scans))
+	}
 	for i, m := range got {
-		want := lrusim.Analyze(ds.SliceTrace(scans[i].Lo, scans[i].Hi))
-		for _, b := range []int{1, 10, 100} {
-			if m.Curve.Fetches(b) != want.Fetches(b) {
-				t.Fatalf("scan %d B=%d: parallel %d vs serial %d", i, b, m.Curve.Fetches(b), want.Fetches(b))
-			}
-		}
 		if m.Scan != scans[i] {
 			t.Fatalf("scan %d order scrambled", i)
 		}
+		want := lrusim.Analyze(ds.SliceTrace(scans[i].Lo, scans[i].Hi))
+		if b := curveMismatch(m.Curve, want, ds.T); b != 0 {
+			t.Fatalf("scan %d [%d,%d): curves differ at B=%d", i, scans[i].Lo, scans[i].Hi, b)
+		}
+	}
+}
+
+func TestMeasureConcurrentCallsAgree(t *testing.T) {
+	// Measure draws its simulator from a shared pool; concurrent calls on
+	// one dataset must not interfere (run under -race in CI).
+	ds := dataset(t, 10_000, 100, 0.4, 3)
+	g, err := NewGenerator(ds, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scans := g.Mix(40, 0.5)
+	want := Measure(ds, scans)
+	const callers = 4
+	results := make([][]Measured, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			results[c] = Measure(ds, scans)
+		}(c)
+	}
+	wg.Wait()
+	for c, got := range results {
+		for i := range want {
+			if got[i].Scan != want[i].Scan {
+				t.Fatalf("caller %d scan %d order scrambled", c, i)
+			}
+			if b := curveMismatch(got[i].Curve, want[i].Curve, ds.T); b != 0 {
+				t.Fatalf("caller %d scan %d: curves differ at B=%d", c, i, b)
+			}
+		}
+	}
+}
+
+func TestMeasureNoScans(t *testing.T) {
+	if got := Measure(dataset(t, 1_000, 10, 1, 1), nil); len(got) != 0 {
+		t.Fatalf("Measure(nil) = %d curves", len(got))
 	}
 }
