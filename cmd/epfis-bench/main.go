@@ -18,9 +18,8 @@
 // -suite experiments (BENCH_experiments.json, via `make bench-json`)
 // measures the experiment engine:
 //
-//   - microbenchmarks of the pooled Mattson simulator against the
-//     fresh-structures legacy path, and of the pooled parallel Measure
-//     against the per-scan-allocation legacy loop;
+//   - microbenchmarks of the one-shot Mattson pass (lrusim.Analyze) and of
+//     workload.Measure over the 200-scan mix;
 //   - one warm-cache error sweep (the engine's marginal per-figure cost);
 //   - wall-clock for the full experiment suite through the engine at
 //     -parallel 1 and -parallel 4, plus an uncached baseline that drops the
@@ -189,27 +188,19 @@ func main() {
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}
 
-	// --- Simulator microbenchmarks: pooled Scratch vs fresh structures. ---
+	// --- Simulator and Measure microbenchmarks. The rows keep their old
+	// "scratch" and "pooled" names so their history stays comparable; both
+	// now run the one pooled Accum pass (Measure via one whole-trace window
+	// index). ---
 	trace := lcgTrace(100_000, 2_000)
-	scratch := lrusim.NewScratch()
 	rep.Benchmarks = append(rep.Benchmarks,
 		entry("lrusim/scratch_analyze_100k", testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				scratch.Analyze(trace)
-			}
-		})),
-		entry("lrusim/tree_analyze_legacy_100k", testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				(lrusim.TreeSimulator{}).Run(trace).FetchCurve()
+				lrusim.Analyze(trace)
 			}
 		})),
 	)
-
-	// --- Measure: one whole-trace window index vs the per-scan-allocation
-	// loop. The row keeps its old "pooled" name so its history stays
-	// comparable. ---
 	// Same shape as the internal/workload Measure benchmarks, so the two
 	// harnesses report comparable numbers.
 	ds, err := datagen.GenerateDataset(datagen.Config{
@@ -228,16 +219,6 @@ func main() {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				workload.Measure(ds, benchScans)
-			}
-		})),
-		entry("workload/measure_200scans_legacy", testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out := make([]workload.Measured, len(benchScans))
-				for j, s := range benchScans {
-					tr := ds.SliceTrace(s.Lo, s.Hi)
-					out[j] = workload.Measured{Scan: s, Curve: (lrusim.TreeSimulator{}).Run(tr).FetchCurve()}
-				}
 			}
 		})),
 	)

@@ -7,20 +7,20 @@ import (
 	"epfis/internal/storage"
 )
 
-// Accum is an incremental, mergeable Mattson stack simulator: the streaming
-// counterpart of Scratch. Where Scratch.Analyze consumes a complete trace and
-// resets between runs, an Accum consumes the trace in batches — Feed may be
-// called any number of times — carrying the Fenwick marker tree, the per-page
-// last-position table, and the stack-distance counts across calls, so the
-// fetch curve (and everything derived from it: FPF samples, the clustering
-// factor) can be read at any point with Curve() without replaying history.
+// Accum is the package's Mattson stack pass: an incremental, mergeable
+// simulator that consumes a trace in batches — Feed may be called any number
+// of times — carrying the Fenwick marker tree, the per-page last-position
+// table, and the stack-distance counts across calls, so the fetch curve (and
+// everything derived from it: FPF samples, the clustering factor) can be read
+// at any point with Curve() without replaying history. Analyze and NewWindows
+// run the same pass on a pooled Accum.
 //
 // Two Accums can also be combined: a.Merge(b) produces in a the exact state
 // of an accumulator that consumed a's stream followed by b's stream. Feed and
-// Merge are both bit-identical to Scratch.Analyze over the concatenated
-// trace (property-tested in accum_test.go), so per-shard accumulators — one
-// per ingest worker, or one per node — roll up into the same curve the
-// offline one-shot pass would have produced.
+// Merge are both bit-identical to the move-to-front list oracle over the
+// concatenated trace (property-tested in accum_test.go), so per-shard
+// accumulators — one per ingest worker, or one per node — roll up into the
+// same curve the offline one-shot pass would have produced.
 //
 // Memory grows with the stream: the Fenwick tree is indexed by reference
 // position (one int32 per reference) and the last-position table by distinct
@@ -47,13 +47,21 @@ type Accum struct {
 	lastPos []int32          // dense page id -> most recent position (0-based)
 	pages   []storage.PageID // dense page id -> raw id, in first-sight order
 
-	// Raw-id remap: slice path while ids stay dense, map fallback once the
-	// largest raw id outgrows maxSliceRemapFactor*refs + slack. denseOf
-	// stores dense+1 so the zero value means "unseen" (no epoch stamps —
-	// an Accum never resets implicitly).
+	// Raw-id remap: slice path while ids stay dense, map fallback once a raw
+	// id outgrows maxSliceRemapFactor*refs + slack. denseOf stores dense+1
+	// so the zero value means "unseen"; Reset returns to the slice path.
 	denseOf []int32
 	remap   map[storage.PageID]int32
 }
+
+// maxSliceRemapFactor bounds the slice remap: raw ids are kept in a flat
+// table only while id < factor*refs + slack, where refs is the stream length
+// at the end of the batch being consumed, so a short stream with one huge
+// page id cannot force a giant allocation.
+const (
+	maxSliceRemapFactor = 4
+	maxSliceRemapSlack  = 1024
+)
 
 // MaxAccumRefs is the reference-count capacity of one Accum: positions are
 // int32, so a stream (or merge result) longer than this cannot be represented.
@@ -81,12 +89,9 @@ func (a *Accum) MaxPageID() storage.PageID {
 	return max
 }
 
-// Reset returns the accumulator to the empty state, retaining capacity so a
-// rotated accumulator re-fills without reallocating.
+// Reset returns the accumulator to the empty state and to the slice remap,
+// retaining capacity so a rotated accumulator re-fills without reallocating.
 func (a *Accum) Reset() {
-	for i := range a.fen {
-		a.fen[i] = 0
-	}
 	a.fen = a.fen[:0]
 	a.n = 0
 	a.cold = 0
@@ -96,51 +101,70 @@ func (a *Accum) Reset() {
 	a.maxDist = 0
 	a.lastPos = a.lastPos[:0]
 	a.pages = a.pages[:0]
-	for i := range a.denseOf {
-		a.denseOf[i] = 0
-	}
-	if a.remap != nil {
-		clear(a.remap)
-	}
+	clear(a.denseOf)
+	a.remap = nil
 }
 
 // Feed consumes one batch of references, extending the accumulated stream.
 // The batch may alias a buffer the caller reuses; nothing is retained.
-func (a *Accum) Feed(t Trace) {
+func (a *Accum) Feed(t Trace) { a.feed(t, nil) }
+
+// feed is Feed that, when rec is non-nil (len(rec) == len(t)), also records
+// every reference's previous position and stack distance there, the input of
+// Windows.
+//
+// The Fenwick tree is kept so that, for every page x seen, the prefix sum up
+// to lastPos[x] counts the pages whose latest reference is at or before x's.
+// A reuse of a page last seen at prev then follows cold - prefix(prev) latest
+// references of other pages, and its distance is that count + 1: one prefix
+// query. A reuse of the page just referenced (prev == p-1) has distance 1 and
+// leaves the tree alone. Its +1 stays at the start of the run of repeats and
+// a later move subtracts 1 at the run's end, so only prefixes ending inside
+// the run read wrong, and no page's lastPos is there again. Positions are
+// global across feeds, so a run may span batches and Merge needs no extra
+// state: its queries, too, end only at some page's lastPos.
+func (a *Accum) feed(t Trace, rec []reuse) {
 	if len(t) == 0 {
 		return
 	}
 	if int64(a.n)+int64(len(t)) > MaxAccumRefs {
 		panic(fmt.Sprintf("lrusim: Accum overflow: %d+%d references exceed MaxAccumRefs", a.n, len(t)))
 	}
-	a.extendFen(a.n + len(t))
-	for _, pg := range t {
-		p := a.n
+	n, end := a.n, a.n+len(t)
+	a.extendFen(end)
+	cold := a.cold
+	for i, pg := range t {
+		p := n + i
 		id, seen := a.lookup(pg)
 		if !seen {
-			id = a.assign(pg)
-			a.cold++
+			id = a.assign(pg, end)
+			cold++
 			a.lastPos[id] = int32(p)
 			a.fenAdd(p+1, 1)
-			a.n++
+			if rec != nil {
+				rec[i] = reuse{prev: -1}
+			}
 			continue
 		}
 		prev := int(a.lastPos[id])
-		// Distinct pages referenced strictly between prev and p: the
-		// most-recent-reference markers after prev, excluding the page's own
-		// marker still sitting at prev; distance is that count + 1.
-		d := a.fenRange(prev+1, p-1) + 1
-		a.count(d)
-		a.fenAdd(prev+1, -1)
 		a.lastPos[id] = int32(p)
-		a.fenAdd(p+1, 1)
-		a.n++
+		d := 1
+		if prev != p-1 {
+			d = int(cold) - a.fenPrefix(prev+1) + 1
+			a.fenAdd(prev+1, -1)
+			a.fenAdd(p+1, 1)
+		}
+		a.count(d)
+		if rec != nil {
+			rec[i] = reuse{prev: int32(prev), dist: int32(d)}
+		}
 	}
+	a.n, a.cold = end, cold
 }
 
 // Merge appends b's accumulated stream to a's: afterwards a holds exactly the
 // state of an accumulator that consumed a's references followed by b's, and
-// a.Curve() equals Scratch.Analyze over the concatenated trace bit for bit.
+// a.Curve() equals Analyze over the concatenated trace bit for bit.
 // b is read, not modified, and remains usable.
 //
 // The fix-up is the heart of the operation: a reference that was a cold miss
@@ -165,8 +189,8 @@ func (a *Accum) Merge(b *Accum) {
 	if int64(a.n)+int64(b.n) > MaxAccumRefs {
 		panic(fmt.Sprintf("lrusim: Accum overflow: %d+%d references exceed MaxAccumRefs", a.n, b.n))
 	}
-	oldN := a.n
-	a.extendFen(oldN + b.n)
+	oldN, end := a.n, a.n+b.n
+	a.extendFen(end)
 	// Within-b distances are unchanged by prefixing a's stream.
 	if b.maxDist >= len(a.counts) {
 		a.growCounts(b.maxDist)
@@ -191,13 +215,13 @@ func (a *Accum) Merge(b *Accum) {
 			a.fenAdd(mp+1, 1)
 			continue
 		}
-		id := a.assign(pg)
+		id := a.assign(pg, end)
 		a.cold++
 		mp := oldN + int(b.lastPos[r])
 		a.lastPos[id] = int32(mp)
 		a.fenAdd(mp+1, 1)
 	}
-	a.n += b.n
+	a.n = end
 }
 
 // Curve materializes the fetch curve of everything accumulated so far. Only
@@ -255,9 +279,10 @@ func (a *Accum) lookup(pg storage.PageID) (int32, bool) {
 
 // assign registers a first-sight page, returning its new dense id and
 // growing lastPos/pages in step. The slice remap is kept while raw ids stay
-// within maxSliceRemapFactor of the reference count (the Scratch rule);
-// a sparse id migrates everything to the map path, permanently.
-func (a *Accum) assign(pg storage.PageID) int32 {
+// within maxSliceRemapFactor of end, the stream length once the current
+// batch is consumed; a sparse id migrates everything to the map path until
+// the next Reset.
+func (a *Accum) assign(pg storage.PageID, end int) int32 {
 	id := int32(len(a.pages))
 	a.pages = append(a.pages, pg)
 	a.lastPos = append(a.lastPos, 0)
@@ -266,7 +291,7 @@ func (a *Accum) assign(pg storage.PageID) int32 {
 		return id
 	}
 	if need := int(pg) + 1; need > len(a.denseOf) {
-		if int64(pg) >= int64(maxSliceRemapFactor)*int64(a.n+1)+maxSliceRemapSlack {
+		if int64(pg) >= int64(maxSliceRemapFactor)*int64(end)+maxSliceRemapSlack {
 			// Too sparse for a flat table: migrate to the map, once.
 			a.remap = make(map[storage.PageID]int32, len(a.pages)*2)
 			for raw, v := range a.denseOf {
@@ -290,38 +315,29 @@ func (a *Accum) assign(pg storage.PageID) int32 {
 	return id
 }
 
-// extendFen grows the Fenwick tree to cover positions 1..m. New indexes carry
-// prefix information over the existing marker region only (every position
-// past the current stream end has value zero until a marker lands there): an
-// index whose covered range stays inside the new region is zero, and the few
-// whose range crosses the old boundary — at most one per bit of m — get the
-// boundary-bounded prefix difference. Subsequent fenAdd calls update the new
-// indexes like any others.
+// extendFen grows the Fenwick tree to cover positions 1..m. Every position
+// past the current stream end holds zero until a marker lands there, so a new
+// index is zero unless its covered range reaches back over the old end. Those
+// indexes are the old end's update chain, at most one per bit of m, and each
+// gets the prefix difference over the old positions it covers.
 func (a *Accum) extendFen(m int) {
-	if len(a.fen) == 0 {
-		if cap(a.fen) > 0 {
-			a.fen = a.fen[:1]
-			a.fen[0] = 0
-		} else {
-			a.fen = append(a.fen, 0)
-		}
-	}
-	old := len(a.fen) - 1 // current max covered position
-	if m <= old {
+	n := len(a.fen)
+	if m < n {
 		return
 	}
-	if cap(a.fen) < m+1 {
-		grown := make([]int32, len(a.fen), max(m+1, 2*cap(a.fen)))
+	if m < cap(a.fen) {
+		a.fen = a.fen[:m+1]
+		clear(a.fen[n:])
+	} else {
+		grown := make([]int32, m+1, max(m+1, 2*cap(a.fen)))
 		copy(grown, a.fen)
 		a.fen = grown
 	}
-	for i := old + 1; i <= m; i++ {
-		lo := i - i&(-i)
-		var v int32
-		if lo < old {
-			v = int32(a.fenPrefix(old) - a.fenPrefix(lo))
+	if old := n - 1; old > 0 { // last position covered before growing
+		top := a.fenPrefix(old)
+		for i := old + old&(-old); i <= m; i += i & (-i) {
+			a.fen[i] = int32(top - a.fenPrefix(i-i&(-i)))
 		}
-		a.fen = append(a.fen, v)
 	}
 }
 
@@ -331,11 +347,9 @@ func (a *Accum) fenAdd(i int, delta int32) {
 	}
 }
 
+// fenPrefix sums positions 1..i, 1-based; i must be < len(a.fen).
 func (a *Accum) fenPrefix(i int) int {
 	sum := 0
-	if i >= len(a.fen) {
-		i = len(a.fen) - 1
-	}
 	for ; i > 0; i -= i & (-i) {
 		sum += int(a.fen[i])
 	}

@@ -21,27 +21,26 @@ func feedInSplits(rng *rand.Rand, a *Accum, t Trace) {
 	}
 }
 
-// accumMatchesScratch checks the accumulated state against a fresh offline
-// pass over the full trace, bit for bit: identical histogram, identical
+// accumMatchesOracle checks the accumulated state against the move-to-front
+// oracle over the full trace, bit for bit: identical histogram, identical
 // F(B) for every informative B, identical A and N.
-func accumMatchesScratch(t *testing.T, a *Accum, full Trace) {
+func accumMatchesOracle(t *testing.T, a *Accum, full Trace) {
 	t.Helper()
-	s := NewScratch()
-	want := s.Run(full)
+	want := ListSimulator{}.Run(full)
 	if got := a.Histogram(); !histogramsEqual(got, want) {
 		t.Fatalf("histogram diverged: got cold=%d total=%d, want cold=%d total=%d",
 			got.Cold, got.Total, want.Cold, want.Total)
 	}
-	wc := s.Analyze(full)
+	wc := want.FetchCurve()
 	gc := a.Curve()
 	hi := int(wc.Accesses()) + 2
 	for b := 1; b <= hi; b++ {
 		if gc.Fetches(b) != wc.Fetches(b) {
-			t.Fatalf("F(%d): accum %d, scratch %d", b, gc.Fetches(b), wc.Fetches(b))
+			t.Fatalf("F(%d): accum %d, oracle %d", b, gc.Fetches(b), wc.Fetches(b))
 		}
 	}
 	if gc.Accesses() != wc.Accesses() || gc.Total() != wc.Total() {
-		t.Fatalf("A/N diverged: accum (%d,%d), scratch (%d,%d)",
+		t.Fatalf("A/N diverged: accum (%d,%d), oracle (%d,%d)",
 			gc.Accesses(), gc.Total(), wc.Accesses(), wc.Total())
 	}
 }
@@ -69,14 +68,13 @@ func pickTrace(rng *rand.Rand, n, pages int) Trace {
 
 func TestAccumFeedMatchesScratchProperty(t *testing.T) {
 	// One trace, arbitrary batch splits: the incremental pass must be
-	// bit-identical to the offline pass over the concatenation.
+	// bit-identical to the oracle over the concatenation.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		full := pickTrace(rng, 1+rng.Intn(600), 1+rng.Intn(60))
 		a := NewAccum()
 		feedInSplits(rng, a, full)
-		s := NewScratch()
-		return histogramsEqual(a.Histogram(), s.Run(full))
+		return histogramsEqual(a.Histogram(), ListSimulator{}.Run(full))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -103,8 +101,7 @@ func TestAccumMergeMatchesConcatenationProperty(t *testing.T) {
 		for _, b := range accs[1:] {
 			merged.Merge(b)
 		}
-		s := NewScratch()
-		return histogramsEqual(merged.Histogram(), s.Run(full))
+		return histogramsEqual(merged.Histogram(), ListSimulator{}.Run(full))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -126,7 +123,7 @@ func TestAccumMergeThenKeepFeeding(t *testing.T) {
 		a.Feed(p3)          // feeding after a merge must stay exact
 		a.Merge(NewAccum()) // merging an empty accumulator is a no-op
 		concat := append(append(p1.Clone(), p2...), p3...)
-		accumMatchesScratch(t, a, concat)
+		accumMatchesOracle(t, a, concat)
 	}
 }
 
@@ -141,17 +138,16 @@ func TestAccumMixedRemapMerge(t *testing.T) {
 		b.Feed(order[1])
 		a.Merge(b)
 		concat := append(order[0].Clone(), order[1]...)
-		accumMatchesScratch(t, a, concat)
+		accumMatchesOracle(t, a, concat)
 	}
 }
 
 func TestAccumCurveMidStream(t *testing.T) {
-	// Curve() at every batch boundary must equal the offline pass over the
+	// Curve() at every batch boundary must equal the oracle over the
 	// prefix consumed so far, and reading it must not disturb accumulation.
 	rng := rand.New(rand.NewSource(3))
 	full := clusteredTrace(rng, 1200, 80, 4)
 	a := NewAccum()
-	s := NewScratch()
 	for off := 0; off < len(full); {
 		k := 1 + rng.Intn(200)
 		if off+k > len(full) {
@@ -159,11 +155,11 @@ func TestAccumCurveMidStream(t *testing.T) {
 		}
 		a.Feed(full[off : off+k])
 		off += k
-		want := s.Analyze(full[:off])
+		want := ListSimulator{}.Run(full[:off]).FetchCurve()
 		got := a.Curve()
 		for b := 1; b <= 90; b++ {
 			if got.Fetches(b) != want.Fetches(b) {
-				t.Fatalf("prefix %d F(%d): accum %d, scratch %d", off, b, got.Fetches(b), want.Fetches(b))
+				t.Fatalf("prefix %d F(%d): accum %d, oracle %d", off, b, got.Fetches(b), want.Fetches(b))
 			}
 		}
 	}
@@ -176,7 +172,118 @@ func TestAccumResetReuse(t *testing.T) {
 		a.Reset()
 		full := pickTrace(rng, n, 1+n/10)
 		feedInSplits(rng, a, full)
-		accumMatchesScratch(t, a, full)
+		accumMatchesOracle(t, a, full)
+	}
+}
+
+func TestAccumReuseShrinkThenGrow(t *testing.T) {
+	// Deterministic worst case for stale state: a large trace, then a tiny
+	// one, then large again, with overlapping page ids, on one Accum.
+	rng := rand.New(rand.NewSource(5))
+	a := NewAccum()
+	for _, n := range []int{2000, 3, 1500, 1, 2500} {
+		trace := clusteredTrace(rng, n, 1+n/10, 3)
+		a.Reset()
+		a.Feed(trace)
+		if got, want := a.Histogram(), (ListSimulator{}).Run(trace); !histogramsEqual(got, want) {
+			t.Fatalf("n=%d: accum diverged after reuse", n)
+		}
+	}
+}
+
+func TestAccumSparsePageIDs(t *testing.T) {
+	// Page ids far beyond the trace length force the map remap path; mixing
+	// sparse and dense traces on one Accum must switch paths cleanly.
+	a := NewAccum()
+	sparse := Trace{1 << 30, 7, 1 << 30, 1 << 20, 7, 1 << 20, 1 << 30}
+	dense := tr(0, 1, 2, 0, 1, 2)
+	for i := 0; i < 3; i++ {
+		for _, trace := range []Trace{sparse, dense} {
+			a.Reset()
+			a.Feed(trace)
+			if got, want := a.Histogram(), (ListSimulator{}).Run(trace); !histogramsEqual(got, want) {
+				t.Fatalf("iter %d: trace %v diverged", i, trace)
+			}
+		}
+	}
+}
+
+func TestAccumReuseMatchesDirectSimulation(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := NewAccum()
+	for trial := 0; trial < 10; trial++ {
+		pages := 5 + rng.Intn(50)
+		trace := clusteredTrace(rng, 300, pages, 1+rng.Intn(6))
+		a.Reset()
+		a.Feed(trace)
+		c := a.Curve()
+		for _, b := range []int{1, 2, pages / 2, pages + 5} {
+			if b < 1 {
+				b = 1
+			}
+			direct, err := DirectFetches(trace, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Fetches(b); got != direct {
+				t.Fatalf("trial %d B=%d: accum %d, direct %d", trial, b, got, direct)
+			}
+		}
+	}
+}
+
+func TestAccumResetReturnsToSliceRemap(t *testing.T) {
+	// The ingest shape: an unclustered stream over T = 2048 pages fed in
+	// 4096-reference batches, one window per Reset. Its ids are dense for
+	// the batch, so the slice remap must hold in every window, the first
+	// included. A truly sparse stream still migrates to the map, with exact
+	// curves, and the next Reset comes back to the slice path.
+	rng := rand.New(rand.NewSource(13))
+	a := NewAccum()
+	for window := 0; window < 3; window++ {
+		a.Reset()
+		full := randomTrace(rng, 4*4096, 2048)
+		for off := 0; off < len(full); off += 4096 {
+			a.Feed(full[off : off+4096])
+			if a.remap != nil {
+				t.Fatalf("window %d: dense stream moved to the map remap after %d refs", window, off+4096)
+			}
+		}
+		accumMatchesOracle(t, a, full)
+
+		a.Reset()
+		sparse := sparseTrace(rng, 4096, 2048)
+		feedInSplits(rng, a, sparse)
+		if a.remap == nil {
+			t.Fatalf("window %d: sparse stream stayed on the slice remap", window)
+		}
+		accumMatchesOracle(t, a, sparse)
+	}
+	a.Reset()
+	if a.remap != nil {
+		t.Fatal("Reset kept the map remap")
+	}
+}
+
+func TestAccumRunAcrossSplitAndMerge(t *testing.T) {
+	// The kernel leaves a stack-top reuse's marker at the start of its run.
+	// Split the stream inside a run of one page, so a's tail run continues
+	// into b's head, and check Feed splits and Merge at every cut.
+	full := tr(1, 2, 3, 3, 3, 3, 3, 1, 3, 3, 2, 2, 4, 3, 1, 1)
+	for cut := 0; cut <= len(full); cut++ {
+		a, b := NewAccum(), NewAccum()
+		a.Feed(full[:cut])
+		a.Feed(full[cut:])
+		accumMatchesOracle(t, a, full)
+
+		a.Reset()
+		a.Feed(full[:cut])
+		b.Feed(full[cut:])
+		a.Merge(b)
+		accumMatchesOracle(t, a, full)
+		// The merged stream must stay exact as the run goes on.
+		a.Feed(tr(1, 1, 3, 2, 2))
+		accumMatchesOracle(t, a, append(full.Clone(), tr(1, 1, 3, 2, 2)...))
 	}
 }
 
@@ -194,7 +301,7 @@ func TestAccumEmptyAndEdge(t *testing.T) {
 	}
 	b := NewAccum()
 	b.Merge(a) // merge into empty
-	accumMatchesScratch(t, b, tr(5))
+	accumMatchesOracle(t, b, tr(5))
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -234,12 +341,12 @@ func TestAccumConcurrentShards(t *testing.T) {
 	for _, b := range accs[1:] {
 		merged.Merge(b)
 	}
-	accumMatchesScratch(t, merged, full)
+	accumMatchesOracle(t, merged, full)
 }
 
 func TestAccumFeedSteadyStateAllocs(t *testing.T) {
 	// Amortized allocs/op over a long warm stream: the committed budget is
-	// <= 2 (matching Scratch.Analyze); steady state is zero with occasional
+	// <= 2 (as for a one-shot Analyze); steady state is zero with occasional
 	// capacity doublings.
 	rng := rand.New(rand.NewSource(2))
 	a := NewAccum()
@@ -252,7 +359,7 @@ func TestAccumFeedSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkAccumFeed measures the incremental path per 512-reference batch on
-// the same clustered shape as BenchmarkScratchAnalyze; divide ns/op by 512
+// the same clustered shape as BenchmarkAnalyze; divide ns/op by 512
 // for ns/ref.
 func BenchmarkAccumFeed(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

@@ -11,34 +11,31 @@
 // a histogram; a reference is a hit in a pool of size B if and only if d <= B,
 // so F(B) = cold misses + #\{references with d > B\}.
 //
-// Four stack-distance engines produce identical output:
+// There is one stack-distance engine, Accum: a Fenwick tree over reference
+// positions, where the stack distance of a reuse is one plus the number of
+// distinct pages referenced since the page's previous reference, a prefix-sum
+// query. It consumes a trace in batches and merges with other accumulators;
+// Analyze runs it once over a whole trace on a pooled Accum.
 //
-//   - ListSimulator: the textbook move-to-front list, O(n * avg depth). This
-//     mirrors the paper's description most literally (hash table avoids the
-//     scan for membership, the list walk yields the distance).
-//   - TreeSimulator: a Fenwick tree over reference positions, O(n log n).
-//     The stack distance equals the number of distinct pages referenced since
-//     the page's previous reference, which is a prefix-sum query.
-//   - Scratch: the same Fenwick pass with every working structure reused
-//     across traces (Analyze and AnalyzePooled go through it).
-//   - Accum: the mergeable, incremental form of the pass, fed batch by batch.
-//
-// Windows builds on Scratch. A reference whose previous reference to its page
-// lies inside a window [lo, hi) of the trace has the same stack distance in
-// the window as in the whole trace, and every other reference in the window
-// is a cold miss there. So one pass over the whole trace yields the exact
-// fetch curve of every window by a linear filter. This is how the
+// Windows records the same pass. A reference whose previous reference to its
+// page lies inside a window [lo, hi) of the trace has the same stack distance
+// in the window as in the whole trace, and every other reference in the
+// window is a cold miss there. So one pass over the whole trace yields the
+// exact fetch curve of every window by a linear filter. This is how the
 // evaluation's partial scans are measured.
 //
-// Property tests in this package check the engines against each other, the
-// window curves against a separate pass over each sliced trace, and the
-// curves against the real LRU buffer pool in internal/buffer.
+// DirectFetches (one LRU pool of one size) and ClockFetches (the clock
+// policy, which has no stack property) simulate a pool directly. Property
+// tests in this package check Accum against a move-to-front list oracle and
+// DirectFetches, the window curves against a separate pass over each sliced
+// trace, and the curves against the real LRU buffer pool in internal/buffer.
 package lrusim
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"epfis/internal/storage"
 )
@@ -138,143 +135,19 @@ func (c *FetchCurve) MinBufferForFullCaching() int {
 	return lo
 }
 
-// Simulator computes a stack-distance histogram from a trace.
-type Simulator interface {
-	// Run consumes the trace and returns its histogram.
-	Run(t Trace) *Histogram
-}
+// accumPool backs Analyze and NewWindows, so one-shot callers reuse an
+// accumulator's structures without holding one of their own.
+var accumPool = sync.Pool{New: func() any { return NewAccum() }}
 
-// ListSimulator implements Simulator with a move-to-front doubly linked list
-// plus a hash index (the paper's literal construction).
-type ListSimulator struct{}
-
-type listNode struct {
-	page       storage.PageID
-	prev, next *listNode
-}
-
-// Run implements Simulator.
-func (ListSimulator) Run(t Trace) *Histogram {
-	h := &Histogram{Total: int64(len(t))}
-	index := make(map[storage.PageID]*listNode, 1024)
-	var head *listNode
-	maxDepth := 0
-	counts := make([]int64, 1, 1024)
-	for _, pg := range t {
-		if node, ok := index[pg]; ok {
-			// Walk from the head to find the node's depth (1-based).
-			d := 1
-			for cur := head; cur != node; cur = cur.next {
-				d++
-			}
-			for len(counts) <= d {
-				counts = append(counts, 0)
-			}
-			counts[d]++
-			if d > maxDepth {
-				maxDepth = d
-			}
-			// Move to front.
-			if head != node {
-				if node.prev != nil {
-					node.prev.next = node.next
-				}
-				if node.next != nil {
-					node.next.prev = node.prev
-				}
-				node.prev = nil
-				node.next = head
-				if head != nil {
-					head.prev = node
-				}
-				head = node
-			}
-		} else {
-			h.Cold++
-			node := &listNode{page: pg, next: head}
-			if head != nil {
-				head.prev = node
-			}
-			head = node
-			index[pg] = node
-		}
-	}
-	h.Counts = counts
-	return h
-}
-
-// TreeSimulator implements Simulator with a Fenwick (binary indexed) tree
-// over reference positions: stack distance = 1 + number of distinct pages
-// referenced strictly between a page's previous reference and now, which is a
-// range sum over "is this position some page's most recent reference".
-type TreeSimulator struct{}
-
-// Run implements Simulator.
-func (TreeSimulator) Run(t Trace) *Histogram {
-	n := len(t)
-	h := &Histogram{Total: int64(n)}
-	bit := newFenwick(n + 1)
-	lastPos := make(map[storage.PageID]int, 1024)
-	counts := make([]int64, 1, 1024)
-	for i, pg := range t {
-		if prev, ok := lastPos[pg]; ok {
-			// Distinct pages referenced in (prev, i): most-recent-reference
-			// markers strictly after prev. The page itself still has its
-			// marker at prev, so the count excludes it; distance is count+1.
-			d := bit.rangeSum(prev+1, i-1) + 1
-			for len(counts) <= d {
-				counts = append(counts, 0)
-			}
-			counts[d]++
-			bit.add(prev+1, -1) // marker moves from prev to i (1-based BIT)
-		} else {
-			h.Cold++
-		}
-		lastPos[pg] = i
-		bit.add(i+1, +1)
-	}
-	h.Counts = counts
-	return h
-}
-
-// fenwick is a 1-based Fenwick tree of ints.
-type fenwick struct {
-	tree []int
-}
-
-func newFenwick(n int) *fenwick { return &fenwick{tree: make([]int, n+1)} }
-
-func (f *fenwick) add(i, delta int) {
-	for ; i < len(f.tree); i += i & (-i) {
-		f.tree[i] += delta
-	}
-}
-
-func (f *fenwick) prefixSum(i int) int {
-	s := 0
-	if i >= len(f.tree) {
-		i = len(f.tree) - 1
-	}
-	for ; i > 0; i -= i & (-i) {
-		s += f.tree[i]
-	}
-	return s
-}
-
-// rangeSum sums positions lo..hi inclusive, in 0-based trace coordinates.
-func (f *fenwick) rangeSum(lo, hi int) int {
-	if hi < lo {
-		return 0
-	}
-	return f.prefixSum(hi+1) - f.prefixSum(lo)
-}
-
-// Analyze computes the trace's fetch curve with the default simulator. It is
-// a thin wrapper over the pooled Scratch path, so one-off callers get the
-// allocation-lean simulation without managing a Scratch themselves; loops
-// that analyze many traces should hold their own Scratch per goroutine.
+// Analyze computes the trace's fetch curve in one stack pass on a pooled
+// Accum. Only the returned curve is allocated; it is safe for concurrent use.
 func Analyze(t Trace) *FetchCurve {
-	return AnalyzePooled(t)
+	a := accumPool.Get().(*Accum)
+	a.Reset()
+	a.Feed(t)
+	c := a.Curve()
+	accumPool.Put(a)
+	return c
 }
 
 // DirectFetches simulates a single LRU pool of the given size over the trace

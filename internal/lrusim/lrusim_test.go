@@ -1,6 +1,7 @@
 package lrusim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,13 +45,107 @@ func clusteredTrace(rng *rand.Rand, n, pages, jitter int) Trace {
 	return t
 }
 
-func simulators() map[string]Simulator {
-	return map[string]Simulator{"list": ListSimulator{}, "tree": TreeSimulator{}}
+// ListSimulator is the naive oracle the stack pass is tested against: a
+// move-to-front doubly linked list plus a hash index (the paper's literal
+// construction), O(n * avg depth). The hash table answers membership and the
+// list walk yields the stack distance.
+type ListSimulator struct{}
+
+type listNode struct {
+	page       storage.PageID
+	prev, next *listNode
+}
+
+// Run consumes the trace and returns its histogram.
+func (ListSimulator) Run(t Trace) *Histogram {
+	h := &Histogram{Total: int64(len(t))}
+	index := make(map[storage.PageID]*listNode, 1024)
+	var head *listNode
+	maxDepth := 0
+	counts := make([]int64, 1, 1024)
+	for _, pg := range t {
+		if node, ok := index[pg]; ok {
+			// Walk from the head to find the node's depth (1-based).
+			d := 1
+			for cur := head; cur != node; cur = cur.next {
+				d++
+			}
+			for len(counts) <= d {
+				counts = append(counts, 0)
+			}
+			counts[d]++
+			if d > maxDepth {
+				maxDepth = d
+			}
+			// Move to front.
+			if head != node {
+				if node.prev != nil {
+					node.prev.next = node.next
+				}
+				if node.next != nil {
+					node.next.prev = node.prev
+				}
+				node.prev = nil
+				node.next = head
+				if head != nil {
+					head.prev = node
+				}
+				head = node
+			}
+		} else {
+			h.Cold++
+			node := &listNode{page: pg, next: head}
+			if head != nil {
+				head.prev = node
+			}
+			head = node
+			index[pg] = node
+		}
+	}
+	h.Counts = counts
+	return h
+}
+
+// histogramsEqual compares two histograms up to trailing zero counts.
+func histogramsEqual(a, b *Histogram) bool {
+	if a.Cold != b.Cold || a.Total != b.Total {
+		return false
+	}
+	n := len(a.Counts)
+	if len(b.Counts) > n {
+		n = len(b.Counts)
+	}
+	at := func(h *Histogram, d int) int64 {
+		if d < len(h.Counts) {
+			return h.Counts[d]
+		}
+		return 0
+	}
+	for d := 0; d < n; d++ {
+		if at(a, d) != at(b, d) {
+			return false
+		}
+	}
+	return true
+}
+
+// accumRun is the stack pass as a histogram function: one Feed of the whole
+// trace into a fresh Accum.
+func accumRun(t Trace) *Histogram {
+	a := NewAccum()
+	a.Feed(t)
+	return a.Histogram()
+}
+
+// engines are the histogram producers every fixed-trace case runs through:
+// the oracle and the stack pass.
+func engines() map[string]func(Trace) *Histogram {
+	return map[string]func(Trace) *Histogram{"list": ListSimulator{}.Run, "accum": accumRun}
 }
 
 func TestEmptyTrace(t *testing.T) {
-	for name, sim := range simulators() {
-		h := sim.Run(nil)
+	for name, run := range engines() {
+		h := run(nil)
 		if h.Cold != 0 || h.Total != 0 {
 			t.Errorf("%s: empty trace histogram = %+v", name, h)
 		}
@@ -62,8 +157,8 @@ func TestEmptyTrace(t *testing.T) {
 }
 
 func TestSingleReference(t *testing.T) {
-	for name, sim := range simulators() {
-		c := sim.Run(tr(5)).FetchCurve()
+	for name, run := range engines() {
+		c := run(tr(5)).FetchCurve()
 		if c.Fetches(1) != 1 || c.Accesses() != 1 || c.Total() != 1 {
 			t.Errorf("%s: single ref curve wrong", name)
 		}
@@ -71,8 +166,8 @@ func TestSingleReference(t *testing.T) {
 }
 
 func TestRepeatedSamePage(t *testing.T) {
-	for name, sim := range simulators() {
-		c := sim.Run(tr(3, 3, 3, 3)).FetchCurve()
+	for name, run := range engines() {
+		c := run(tr(3, 3, 3, 3)).FetchCurve()
 		if got := c.Fetches(1); got != 1 {
 			t.Errorf("%s: F(1) = %d, want 1", name, got)
 		}
@@ -82,8 +177,8 @@ func TestRepeatedSamePage(t *testing.T) {
 func TestKnownStackDistances(t *testing.T) {
 	// Trace: 1 2 3 1 2 3.
 	// Second occurrences each have stack distance 3.
-	for name, sim := range simulators() {
-		h := sim.Run(tr(1, 2, 3, 1, 2, 3))
+	for name, run := range engines() {
+		h := run(tr(1, 2, 3, 1, 2, 3))
 		if h.Cold != 3 {
 			t.Errorf("%s: cold = %d, want 3", name, h.Cold)
 		}
@@ -109,8 +204,8 @@ func TestSequentialScanIndependentOfBuffer(t *testing.T) {
 			trace = append(trace, storage.PageID(p))
 		}
 	}
-	for name, sim := range simulators() {
-		c := sim.Run(trace).FetchCurve()
+	for name, run := range engines() {
+		c := run(trace).FetchCurve()
 		for _, b := range []int{1, 2, 10, 100, 1000} {
 			if got := c.Fetches(b); got != 100 {
 				t.Errorf("%s: clustered scan F(%d) = %d, want 100", name, b, got)
@@ -123,8 +218,8 @@ func TestWorstCaseUnclustered(t *testing.T) {
 	// Each new record on a page evicted long ago: with B=1 every reference
 	// after a page switch fetches; interleave 2 pages fully.
 	trace := tr(0, 1, 0, 1, 0, 1)
-	for name, sim := range simulators() {
-		c := sim.Run(trace).FetchCurve()
+	for name, run := range engines() {
+		c := run(trace).FetchCurve()
 		if got := c.Fetches(1); got != 6 {
 			t.Errorf("%s: F(1) = %d, want 6 (every ref misses)", name, got)
 		}
@@ -146,11 +241,11 @@ func TestSimulatorsAgreeProperty(t *testing.T) {
 			trace = clusteredTrace(rng, n, pages, 1+rng.Intn(5))
 		}
 		ha := ListSimulator{}.Run(trace)
-		hb := TreeSimulator{}.Run(trace)
-		if ha.Cold != hb.Cold || ha.Total != hb.Total {
+		cb := Analyze(trace)
+		if ha.Cold != cb.Accesses() || ha.Total != cb.Total() {
 			return false
 		}
-		ca, cb := ha.FetchCurve(), hb.FetchCurve()
+		ca := ha.FetchCurve()
 		for b := 1; b <= pages+2; b++ {
 			if ca.Fetches(b) != cb.Fetches(b) {
 				return false
@@ -160,6 +255,80 @@ func TestSimulatorsAgreeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestAnalyzeMatchesListOracleProperty(t *testing.T) {
+	// One Accum reused through Reset across every quick iteration, with
+	// trace sizes and page counts varying each time — the reuse-across-sizes
+	// regression the pooled Analyze must survive — and Analyze's curve
+	// against the oracle's.
+	a := NewAccum()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(600)
+		pages := 1 + rng.Intn(60)
+		var trace Trace
+		if rng.Intn(2) == 0 {
+			trace = randomTrace(rng, n, pages)
+		} else {
+			trace = clusteredTrace(rng, n, pages, 1+rng.Intn(6))
+		}
+		hList := ListSimulator{}.Run(trace)
+		a.Reset()
+		a.Feed(trace)
+		if !histogramsEqual(a.Histogram(), hList) {
+			return false
+		}
+		got, want := Analyze(trace), hList.FetchCurve()
+		for b := 1; b <= pages+2; b++ {
+			if got.Fetches(b) != want.Fetches(b) {
+				return false
+			}
+		}
+		return got.Accesses() == want.Accesses() && got.Total() == want.Total()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestAnalyzeEmptyAndSingle(t *testing.T) {
+	if c := Analyze(nil); c.Fetches(1) != 0 || c.Total() != 0 {
+		t.Error("empty trace curve wrong")
+	}
+	if c := Analyze(tr(9)); c.Fetches(1) != 1 || c.Accesses() != 1 {
+		t.Error("single-reference curve wrong")
+	}
+}
+
+func TestAnalyzePooledConcurrent(t *testing.T) {
+	// The pool hands each goroutine its own Accum; concurrent Analyze calls
+	// must not interfere (run under -race in CI).
+	rng := rand.New(rand.NewSource(21))
+	traces := make([]Trace, 16)
+	wants := make([]*FetchCurve, len(traces))
+	for i := range traces {
+		traces[i] = clusteredTrace(rng, 400+i*37, 40+i, 4)
+		wants[i] = ListSimulator{}.Run(traces[i]).FetchCurve()
+	}
+	errs := make(chan error, len(traces))
+	for i := range traces {
+		go func(i int) {
+			c := Analyze(traces[i])
+			for b := 1; b < 60; b += 7 {
+				if c.Fetches(b) != wants[i].Fetches(b) {
+					errs <- fmt.Errorf("trace %d F(%d): concurrent Analyze %d, oracle %d", i, b, c.Fetches(b), wants[i].Fetches(b))
+					return
+				}
+			}
+			errs <- nil
+		}(i)
+	}
+	for range traces {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -288,12 +457,15 @@ func TestFetchesClampsSmallB(t *testing.T) {
 	}
 }
 
-func BenchmarkTreeSimulator(b *testing.B) {
+// BenchmarkAnalyze measures the pooled one-shot pass on a 100k-reference
+// clustered trace.
+func BenchmarkAnalyze(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	trace := clusteredTrace(rng, 100_000, 2_000, 40)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TreeSimulator{}.Run(trace)
+		Analyze(trace)
 	}
 }
 

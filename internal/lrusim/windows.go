@@ -10,7 +10,7 @@ package lrusim
 // the window. Every other reference in the window is the window's first
 // touch of its page, a cold miss. So once the pass has recorded (p, d) for
 // every position, a window's curve is a linear filter over [lo, hi) with no
-// simulation at all. Curve is bit-identical to Scratch.Analyze(t[lo:hi]).
+// simulation at all. Curve is bit-identical to Analyze(t[lo:hi]).
 //
 // A Windows is read-only after NewWindows returns and safe for concurrent
 // use.
@@ -24,14 +24,14 @@ type reuse struct {
 	dist int32 // whole-trace stack distance, 0 when prev is -1
 }
 
-// NewWindows runs one stack pass over t with a pooled Scratch and returns
-// its window index. The index keeps 8 bytes per reference and does not
-// retain t.
+// NewWindows runs one stack pass over t with a pooled Accum and returns its
+// window index. The index keeps 8 bytes per reference and does not retain t.
 func NewWindows(t Trace) *Windows {
 	w := &Windows{rec: make([]reuse, len(t))}
-	s := scratchPool.Get().(*Scratch)
-	s.pass(t, w.rec)
-	scratchPool.Put(s)
+	a := accumPool.Get().(*Accum)
+	a.Reset()
+	a.feed(t, w.rec)
+	accumPool.Put(a)
 	return w
 }
 

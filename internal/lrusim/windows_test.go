@@ -27,8 +27,8 @@ func runsTrace(rng *rand.Rand, n, pages int) Trace {
 // windowMatchesAnalyze reports how the curve of t[lo:hi] read from w differs
 // from a separate stack pass over the sliced trace, or "" when the two are
 // bit-identical: same cumHits (length included), cold and total.
-func windowMatchesAnalyze(s *Scratch, w *Windows, t Trace, lo, hi int) string {
-	got, want := w.Curve(lo, hi), s.Analyze(t[lo:hi])
+func windowMatchesAnalyze(w *Windows, t Trace, lo, hi int) string {
+	got, want := w.Curve(lo, hi), Analyze(t[lo:hi])
 	if !slices.Equal(got.cumHits, want.cumHits) || got.cold != want.cold || got.total != want.total {
 		return fmt.Sprintf("window [%d,%d) of %d: got cum=%v cold=%d total=%d, want cum=%v cold=%d total=%d",
 			lo, hi, len(t), got.cumHits, got.cold, got.total, want.cumHits, want.cold, want.total)
@@ -37,7 +37,6 @@ func windowMatchesAnalyze(s *Scratch, w *Windows, t Trace, lo, hi int) string {
 }
 
 func TestWindowsMatchAnalyzeProperty(t *testing.T) {
-	s := NewScratch()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(500)
@@ -65,14 +64,14 @@ func TestWindowsMatchAnalyzeProperty(t *testing.T) {
 			windows = append(windows, [2]int{lo, lo + rng.Intn(n-lo+1)})
 		}
 		for _, lh := range windows {
-			if msg := windowMatchesAnalyze(s, w, trace, lh[0], lh[1]); msg != "" {
+			if msg := windowMatchesAnalyze(w, trace, lh[0], lh[1]); msg != "" {
 				t.Error(msg)
 				return false
 			}
 		}
-		// Analyze itself against the independent move-to-front oracle, so a
-		// kernel fault shared by both sides cannot hide.
-		return histogramsEqual(s.Run(trace), ListSimulator{}.Run(trace))
+		// The stack pass itself against the independent move-to-front
+		// oracle, so a kernel fault shared by both sides cannot hide.
+		return histogramsEqual(accumRun(trace), ListSimulator{}.Run(trace))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -80,7 +79,7 @@ func TestWindowsMatchAnalyzeProperty(t *testing.T) {
 }
 
 func TestWindowsEmptyTrace(t *testing.T) {
-	if msg := windowMatchesAnalyze(NewScratch(), NewWindows(nil), nil, 0, 0); msg != "" {
+	if msg := windowMatchesAnalyze(NewWindows(nil), nil, 0, 0); msg != "" {
 		t.Fatal(msg)
 	}
 }
@@ -95,7 +94,7 @@ func TestWindowsConcurrentCurves(t *testing.T) {
 	for i := range bounds {
 		lo := rng.Intn(len(trace))
 		bounds[i] = [2]int{lo, lo + rng.Intn(len(trace)-lo+1)}
-		wants[i] = NewScratch().Analyze(trace[bounds[i][0]:bounds[i][1]])
+		wants[i] = Analyze(trace[bounds[i][0]:bounds[i][1]])
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"epfis/internal/lrusim"
 )
 
 // legacyBufferSweep is the pre-fix implementation (accumulating float steps
@@ -111,21 +109,5 @@ func BenchmarkMeasure200Scans(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Measure(g.ds, scans)
-	}
-}
-
-// BenchmarkMeasure200ScansLegacy measures the same workload the way the
-// pre-pooling code did — a fresh tree simulator, hash map, and histogram per
-// scan — as the allocation baseline for the perf report.
-func BenchmarkMeasure200ScansLegacy(b *testing.B) {
-	g, scans := benchScans(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := make([]Measured, len(scans))
-		for j, s := range scans {
-			tr := g.ds.SliceTrace(s.Lo, s.Hi)
-			out[j] = Measured{Scan: s, Curve: (lrusim.TreeSimulator{}).Run(tr).FetchCurve()}
-		}
 	}
 }
