@@ -14,32 +14,37 @@ test:
 	$(GO) test ./...
 
 # Race-test the concurrent subsystems (catalog store + estimation service,
-# plus the mergeable incremental simulator the ingest worker feeds).
+# the durable log under both, plus the mergeable incremental simulator the
+# ingest worker feeds).
 race:
-	$(GO) test -race ./internal/catalog/... ./internal/cluster/... ./internal/lrusim/... ./internal/service/... ./cmd/epfis-serve/...
+	$(GO) test -race ./internal/catalog/... ./internal/cluster/... ./internal/journal/... ./internal/lrusim/... ./internal/service/... ./cmd/epfis-serve/...
 
 # Resilience drills under the race detector: fault injection on every catalog
 # write path mid-traffic (including WAL append/fsync/checkpoint faults under
 # concurrent ingest + readers), commit-abort and recovery invariants, overload
-# shedding, breaker/degraded behaviour, plus recovery fuzz smokes for both the
-# legacy rename store and the WAL log.
+# shedding, breaker/degraded behaviour, the durable-log primitive's torn-append
+# and rewrite-fault proofs, plus recovery fuzz smokes for the legacy rename
+# store, the WAL log, and the journal frame reader under every log.
 chaos:
-	$(GO) test -race ./internal/faultfs/ ./internal/resilience/
+	$(GO) test -race ./internal/faultfs/ ./internal/resilience/ ./internal/journal/
 	$(GO) test -race -run 'TestChaos|TestOverload|TestDeleted|TestHealthz|TestCommitAborts|TestFsync|TestOpenRecovers|TestReload|TestWAL' \
 		./internal/catalog/ ./internal/service/
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenCatalogStore -fuzztime=20s ./internal/catalog/
 	$(GO) test -run=Fuzz -fuzz=FuzzWALRecovery -fuzztime=20s ./internal/catalog/
+	$(GO) test -run=Fuzz -fuzz=FuzzJournalOpen -fuzztime=20s ./internal/journal/
 
 # Network partition drills under the race detector: the deterministic fault
 # injector itself, then the jepsen-lite convergence drill — partition a 3-node
 # cluster while both sides take writes and ingest, heal, and require every
 # store to converge to one content hash with bit-exact estimates — plus the
-# hinted-handoff restart, epoch-guard, ingest-routing, and WAL ingest-journal
-# crash-replay proofs, and the request-deadline drills (stalled bodies, slow
-# proxy owners, a PUT whose quorum lands past its deadline).
+# hinted-handoff restart, hint- and stamp-journal torn-append,
+# failed-compaction and every-byte-truncation proofs, epoch-guard,
+# ingest-routing, and WAL ingest-journal crash-replay proofs, and the
+# request-deadline drills (stalled bodies, slow proxy owners, a PUT whose
+# quorum lands past its deadline).
 chaos-net:
 	$(GO) test -race ./internal/faultnet/
-	$(GO) test -race -run 'TestClusterPartition|TestAsymmetricPartition|TestReplicatedDeleteEpochGuard|TestHandoffJournal|TestClusterIngestOwnership|TestIngestJournal|TestDeadline' \
+	$(GO) test -race -run 'TestClusterPartition|TestAsymmetricPartition|TestReplicatedDeleteEpochGuard|TestHandoffJournal|TestStampJournal|TestClusterIngestOwnership|TestIngestJournal|TestDeadline' \
 		./internal/service/
 	$(GO) test -race -run 'TestWALIngestJournal' ./internal/catalog/
 

@@ -1,5 +1,7 @@
-// Package faultfs is a failpoint-style filesystem wrapper for the catalog's
-// persistence path. Production code talks to the small FS interface; tests
+// Package faultfs is a failpoint-style filesystem wrapper for every durable
+// path: the catalog's atomic-rename persistence and each internal/journal
+// log (the catalog WAL, the hint journals, the key-stamp journal).
+// Production code talks to the small FS interface; tests
 // (and the EPFIS_FAULTS env knob on cmd/epfis-serve) swap in an Injector
 // that fails, truncates, or slows down specific operations at specific
 // points — deterministically, so a chaos test that passed once passes every
@@ -53,7 +55,7 @@ const (
 	OpTruncate Op = "truncate"
 )
 
-// File is the writable temp-file surface catalog persistence needs.
+// File is the writable file surface the durable paths need.
 type File interface {
 	io.Writer
 	// Name reports the file's path.
@@ -64,7 +66,7 @@ type File interface {
 	Close() error
 }
 
-// FS is the filesystem surface catalog persistence is written against.
+// FS is the filesystem surface the durable paths are written against.
 // Implementations must be safe for concurrent use.
 type FS interface {
 	// ReadFile reads the whole named file.
@@ -75,7 +77,7 @@ type FS interface {
 	// OpenAppend opens the named file for appending, creating it if missing —
 	// the write-ahead-log surface.
 	OpenAppend(name string) (File, error)
-	// Truncate cuts the named file to size bytes (WAL torn-tail repair).
+	// Truncate cuts the named file to size bytes (torn-tail repair).
 	Truncate(name string, size int64) error
 	// Rename atomically renames oldpath to newpath.
 	Rename(oldpath, newpath string) error

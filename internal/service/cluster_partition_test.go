@@ -250,11 +250,16 @@ func TestClusterPartitionHealConvergence(t *testing.T) {
 	doomed := fitStats(t, "orders", "doomed", 2)
 	putIndex(t, a.cnode, keep)
 	putIndex(t, b.cnode, doomed)
-	for _, n := range nodes {
-		if n.store.Len() != 2 {
-			t.Fatalf("%s store len = %d before partition, want 2", n.id, n.store.Len())
+	// A PUT acks once its write quorum lands; the third replica's send
+	// finishes in the background (fast-ack), so wait for it.
+	waitFor(t, 5*time.Second, func() bool {
+		for _, n := range nodes {
+			if n.store.Len() != 2 {
+				return false
+			}
 		}
-	}
+		return true
+	}, "both baseline entries on every node before the partition")
 
 	partition(nodes[:1], nodes[1:])
 
@@ -602,6 +607,16 @@ func TestClusterIngestOwnershipRouting(t *testing.T) {
 	// batch already delivered trace[:1], so the stream continues from there.
 	postIngest(t, nonOwner.ts, meta, trace[1:], true, rand.New(rand.NewSource(9)))
 	owner.srv.Close() // drain the owner's worker
+	// The republish acks at its quorum; sends to the other nodes finish in
+	// the background (fast-ack), so wait for them.
+	waitFor(t, 5*time.Second, func() bool {
+		for _, cn := range nodes {
+			if _, err := cn.store.Get("lineitem", "suppkey"); err != nil {
+				return false
+			}
+		}
+		return true
+	}, "the republished entry on every node")
 
 	want, err := core.LRUFit(trace, meta, core.Options{})
 	if err != nil {

@@ -5,12 +5,13 @@ package service
 //
 // When a replicated mutation cannot reach a peer (partitioned, dead, or just
 // slow past the per-peer timeout), the sender journals a hint — the complete
-// replicated request plus its epoch — into a per-peer CRC32-C-framed file
-// under Config.HandoffDir and keeps serving. A background drainer retries
-// delivery (resilience.Retry behind a per-peer circuit breaker) until the
-// peer answers, then compacts the journal. Because every replicated apply is
-// epoch-gated on the receiver (see cluster.go), redelivery is idempotent:
-// at-least-once sends converge to exactly-once application.
+// replicated request plus its epoch, as one JSON frame body — into a
+// per-peer internal/journal log under Config.HandoffDir and keeps serving.
+// A background drainer retries delivery (resilience.Retry behind a per-peer
+// circuit breaker) until the peer answers, then compacts the journal.
+// Because every replicated apply is epoch-gated on the receiver (see
+// cluster.go), redelivery is idempotent: at-least-once sends converge to
+// exactly-once application.
 //
 // The journal survives sender crashes — hints are fsynced before the
 // originating mutation is acknowledged as quorum-met or surfaced as 503
@@ -22,10 +23,8 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"log/slog"
 	"net/url"
 	"os"
@@ -36,6 +35,7 @@ import (
 
 	"epfis/internal/cluster"
 	"epfis/internal/faultfs"
+	"epfis/internal/journal"
 	"epfis/internal/obs"
 	"epfis/internal/resilience"
 )
@@ -51,8 +51,6 @@ const DefaultHandoffAbandonAfter = time.Hour
 const (
 	// handoffRetryInterval paces the background drainer between sweeps.
 	handoffRetryInterval = time.Second
-	// handoffMaxFrame bounds one journaled hint (a PUT body plus envelope).
-	handoffMaxFrame = 16 << 20
 	// handoffCompactAfter is how many delivered-but-still-journaled hints a
 	// peer file may accumulate before it is rewritten.
 	handoffCompactAfter = 64
@@ -80,7 +78,7 @@ type handoff struct {
 
 	mu        sync.Mutex
 	queues    map[string][]hintRecord // FIFO per peer
-	files     map[string]faultfs.File // open journal handles
+	logs      map[string]*journal.Log // open journals
 	delivered map[string]int          // delivered hints awaiting compaction
 
 	brMu     sync.Mutex
@@ -112,9 +110,6 @@ type handoff struct {
 	abandonedC *obs.Counter
 }
 
-// hintCRC is the Castagnoli table shared by every hint frame.
-var hintCRC = crc32.MakeTable(crc32.Castagnoli)
-
 // newHandoff loads any journaled hints from cfg.HandoffDir and starts the
 // drainer. Called from New only in cluster mode.
 func newHandoff(s *Server, cfg Config) (*handoff, error) {
@@ -123,7 +118,7 @@ func newHandoff(s *Server, cfg Config) (*handoff, error) {
 		dir:          cfg.HandoffDir,
 		fs:           faultfs.OS(),
 		queues:       map[string][]hintRecord{},
-		files:        map[string]faultfs.File{},
+		logs:         map[string]*journal.Log{},
 		delivered:    map[string]int{},
 		breakers:     map[string]*resilience.Breaker{},
 		drains:       map[string]*sync.Mutex{},
@@ -171,8 +166,8 @@ func (h *handoff) hintPath(peer string) string {
 	return filepath.Join(h.dir, url.PathEscape(peer)+".hints")
 }
 
-// load replays every *.hints journal into the in-memory queues, truncating
-// torn tails in place (the crash-during-append case).
+// load replays every *.hints journal into the in-memory queues; opening
+// each journal cuts a torn tail (the crash-during-append case).
 func (h *handoff) load() error {
 	entries, err := os.ReadDir(h.dir)
 	if err != nil {
@@ -187,18 +182,19 @@ func (h *handoff) load() error {
 		if err != nil {
 			continue // not one of ours
 		}
-		path := filepath.Join(h.dir, name)
-		data, err := h.fs.ReadFile(path)
+		var recs []hintRecord
+		log, err := journal.Open(h.fs, filepath.Join(h.dir, name), func(body []byte) bool {
+			var rec hintRecord
+			if json.Unmarshal(body, &rec) != nil {
+				return false
+			}
+			recs = append(recs, rec)
+			return true
+		})
 		if err != nil {
 			return fmt.Errorf("service: handoff journal %s: %w", name, err)
 		}
-		recs, good := decodeHints(data)
-		if good < int64(len(data)) {
-			// Torn or corrupt tail: keep the durable prefix, cut the rest.
-			if err := h.fs.Truncate(path, good); err != nil {
-				return fmt.Errorf("service: handoff journal %s: truncate torn tail: %w", name, err)
-			}
-		}
+		h.logs[peer] = log
 		if len(recs) > 0 {
 			h.queues[peer] = recs
 		}
@@ -206,67 +202,19 @@ func (h *handoff) load() error {
 	return nil
 }
 
-// decodeFrame parses one [len][crc][json] frame from the head of data into
-// v, reporting the frame's total byte length and whether it was fully valid.
-// Shared by the hint and stamp journals.
-func decodeFrame(data []byte, v any) (int64, bool) {
-	if len(data) < 8 {
-		return 0, false
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	sum := binary.LittleEndian.Uint32(data[4:])
-	if n <= 0 || n > handoffMaxFrame || len(data)-8 < n {
-		return 0, false
-	}
-	payload := data[8 : 8+n]
-	if crc32.Checksum(payload, hintCRC) != sum {
-		return 0, false
-	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return 0, false
-	}
-	return int64(8 + n), true
-}
-
-// encodeFrame frames one record for a journal.
-func encodeFrame(v any) ([]byte, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, hintCRC))
-	copy(buf[8:], payload)
-	return buf, nil
-}
-
-// decodeHints parses a hint journal, returning the records and the byte
-// offset of the last fully valid frame.
-func decodeHints(data []byte) ([]hintRecord, int64) {
-	var recs []hintRecord
-	off := int64(0)
-	for {
-		var rec hintRecord
-		n, ok := decodeFrame(data[off:], &rec)
-		if !ok {
-			break
-		}
-		recs = append(recs, rec)
-		off += n
-	}
-	return recs, off
-}
-
 // enqueue journals a hint (fsynced before return) and queues it for the
 // drainer. Journal failures demote the hint to memory-only rather than drop
 // it: delivery still happens unless the process dies first.
 func (h *handoff) enqueue(rec hintRecord) {
-	frame, encErr := encodeFrame(rec)
+	body, encErr := json.Marshal(rec)
 	h.mu.Lock()
 	h.queues[rec.Peer] = append(h.queues[rec.Peer], rec)
 	if h.dir != "" && encErr == nil {
-		if err := h.appendLocked(rec.Peer, frame); err != nil {
+		log, err := h.logLocked(rec.Peer)
+		if err == nil {
+			err = log.Append(body)
+		}
+		if err != nil {
 			h.journalC.Inc()
 			h.s.obs.log.LogAttrs(context.Background(), slog.LevelWarn, "handoff journal append failed",
 				slog.String("peer", rec.Peer), slog.String("error", err.Error()))
@@ -280,54 +228,43 @@ func (h *handoff) enqueue(rec hintRecord) {
 	}
 }
 
-// appendLocked writes one frame to the peer's journal and fsyncs. Caller
-// holds h.mu.
-func (h *handoff) appendLocked(peer string, frame []byte) error {
-	f := h.files[peer]
-	if f == nil {
-		var err error
-		f, err = h.fs.OpenAppend(h.hintPath(peer))
-		if err != nil {
-			return err
-		}
-		h.files[peer] = f
+// logLocked returns the peer's journal, creating it on the peer's first
+// hint. Caller holds h.mu.
+func (h *handoff) logLocked(peer string) (*journal.Log, error) {
+	if log := h.logs[peer]; log != nil {
+		return log, nil
 	}
-	if _, err := f.Write(frame); err != nil {
-		return err
+	log, err := journal.Open(h.fs, h.hintPath(peer), nil)
+	if err != nil {
+		return nil, err
 	}
-	return f.Sync()
+	h.logs[peer] = log
+	return log, nil
 }
 
-// compactLocked rewrites a peer's journal to exactly its undelivered queue.
-// Caller holds h.mu.
+// compactLocked rewrites a peer's journal to exactly its undelivered queue,
+// removing it once the queue is empty. A failed rewrite leaves the old
+// journal — every undelivered hint plus some delivered ones, which epoch
+// gating makes harmless to redeliver — in place. Caller holds h.mu.
 func (h *handoff) compactLocked(peer string) {
-	h.delivered[peer] = 0
-	if h.dir == "" {
-		return
-	}
-	if f := h.files[peer]; f != nil {
-		f.Close()
-		delete(h.files, peer)
-	}
-	path := h.hintPath(peer)
+	log := h.logs[peer]
 	queue := h.queues[peer]
-	if len(queue) == 0 {
-		_ = h.fs.Remove(path)
-		return
-	}
-	if err := h.fs.Truncate(path, 0); err != nil {
-		return // stale frames linger; epoch gating makes redelivery harmless
-	}
-	for _, rec := range queue {
-		frame, err := encodeFrame(rec)
-		if err != nil {
-			continue
+	if log != nil && len(queue) == 0 {
+		delete(h.logs, peer)
+		_ = log.Remove() // a lingering file only redelivers delivered hints
+	} else if log != nil {
+		bodies := make([][]byte, 0, len(queue))
+		for _, rec := range queue {
+			if body, err := json.Marshal(rec); err == nil {
+				bodies = append(bodies, body)
+			}
 		}
-		if err := h.appendLocked(peer, frame); err != nil {
+		if err := log.Rewrite(bodies); err != nil {
 			h.journalC.Inc()
 			return
 		}
 	}
+	h.delivered[peer] = 0
 }
 
 // pending reports the total number of queued hints.
@@ -444,12 +381,9 @@ func (h *handoff) gcAbsent(peers []string) []string {
 		delete(h.queues, id)
 		delete(h.delivered, id)
 		delete(h.absentSince, id)
-		if f := h.files[id]; f != nil {
-			f.Close()
-			delete(h.files, id)
-		}
-		if h.dir != "" {
-			_ = h.fs.Remove(h.hintPath(id))
+		if log := h.logs[id]; log != nil {
+			_ = log.Remove() // a lingering file is reloaded and abandoned again
+			delete(h.logs, id)
 		}
 		h.mu.Unlock()
 		h.abandonedC.Add(uint64(dropped))
@@ -562,9 +496,9 @@ func (h *handoff) close() {
 	h.once.Do(func() { close(h.stop) })
 	<-h.done
 	h.mu.Lock()
-	for id, f := range h.files {
-		f.Close()
-		delete(h.files, id)
+	for id, log := range h.logs {
+		log.Close()
+		delete(h.logs, id)
 	}
 	h.mu.Unlock()
 }

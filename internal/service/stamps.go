@@ -9,29 +9,28 @@ package service
 // a DELETE, crashed, and then pulled a snapshot from a peer that had missed
 // the DELETE would happily re-adopt the deleted key — the tombstone died
 // with the process. The stamp journal closes it: every applied stamp (local
-// or replicated, PUTs and DELETEs alike) is appended to a CRC32-C-framed
-// file under Config.HandoffDir — the same durability domain as the hint
-// journal — and reloaded into the node's stamp table before the service
-// answers its first request. The reload also folds the highest journaled
+// or replicated, PUTs and DELETEs alike) is appended as one JSON frame body
+// to an internal/journal log under Config.HandoffDir and reloaded into the
+// node's stamp table before the service answers its first request. The reload also folds the highest journaled
 // epoch into the node's Lamport clock, so the first post-restart local
 // mutation is stamped above everything this node ever applied.
 //
 // The journal is append-only between compactions; once the appended tail
-// outgrows the live table it is rewritten from the table (one frame per
-// key). With HandoffDir unset the table stays memory-only, preserving the
+// outgrows the live table it is atomically rewritten from the table (one
+// frame per key). With HandoffDir unset the table stays memory-only, preserving the
 // old behaviour for tests and throwaway topologies.
 
 import (
 	"context"
-	"errors"
+	"encoding/json"
 	"fmt"
-	"io/fs"
 	"log/slog"
 	"path/filepath"
 	"sync"
 
 	"epfis/internal/cluster"
 	"epfis/internal/faultfs"
+	"epfis/internal/journal"
 	"epfis/internal/obs"
 )
 
@@ -57,8 +56,8 @@ type stampJournal struct {
 	fs   faultfs.FS
 
 	mu      sync.Mutex
-	f       faultfs.File
-	appends int // frames appended since the last compaction
+	log     *journal.Log // nil after close, until the next append
+	appends int          // frames in the journal
 
 	errorsC *obs.Counter
 }
@@ -75,66 +74,50 @@ func newStampJournal(s *Server, dir string) (*stampJournal, error) {
 	}
 	j.errorsC = s.obs.reg.Counter("epfis_cluster_stamp_journal_errors_total",
 		"Stamp journal writes that failed (the stamp stays tracked in memory).")
-	data, err := j.fs.ReadFile(j.path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("service: stamp journal: %w", err)
-	}
-	if err == nil {
-		recs, good, count := decodeStamps(data)
-		if good < int64(len(data)) {
-			// Torn or corrupt tail: keep the durable prefix, cut the rest.
-			if terr := j.fs.Truncate(j.path, good); terr != nil {
-				return nil, fmt.Errorf("service: stamp journal: truncate torn tail: %w", terr)
-			}
-		}
-		var maxEpoch uint64
-		for key, st := range recs {
-			s.cluster.RecordKeyStamp(key, st)
-			if st.Epoch > maxEpoch {
-				maxEpoch = st.Epoch
-			}
-		}
-		s.cluster.ObserveEpoch(maxEpoch)
-		j.appends = count
-	}
-	return j, nil
-}
-
-// decodeStamps parses [len][crc][json] frames (the hint frame format),
-// folding later frames for the same key over earlier ones in Stamp order. It
-// returns the folded table, the byte offset of the last fully valid frame,
-// and the raw frame count (the compaction-pressure seed).
-func decodeStamps(data []byte) (map[string]cluster.Stamp, int64, int) {
 	recs := map[string]cluster.Stamp{}
-	off, count := int64(0), 0
-	for {
+	log, err := journal.Open(j.fs, j.path, func(body []byte) bool {
 		var rec stampRecord
-		n, ok := decodeFrame(data[off:], &rec)
-		if !ok {
-			break
+		if json.Unmarshal(body, &rec) != nil {
+			return false
 		}
-		st := cluster.Stamp{Epoch: rec.Epoch, Origin: rec.Origin}
-		if cur := recs[rec.Key]; cur.Less(st) {
+		// Later frames for a key fold over earlier ones in Stamp order.
+		if st := (cluster.Stamp{Epoch: rec.Epoch, Origin: rec.Origin}); recs[rec.Key].Less(st) {
 			recs[rec.Key] = st
 		}
-		off += n
-		count++
+		j.appends++
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("service: stamp journal: %w", err)
 	}
-	return recs, off, count
+	j.log = log
+	var maxEpoch uint64
+	for key, st := range recs {
+		s.cluster.RecordKeyStamp(key, st)
+		maxEpoch = max(maxEpoch, st.Epoch)
+	}
+	s.cluster.ObserveEpoch(maxEpoch)
+	return j, nil
 }
 
 // append journals one applied stamp (fsynced). Failures demote the stamp to
 // memory-only rather than failing the mutation: the apply already happened
 // and the in-memory table still orders everything this process lifetime.
 func (j *stampJournal) append(key string, st cluster.Stamp) {
-	frame, err := encodeFrame(stampRecord{Key: key, Epoch: st.Epoch, Origin: st.Origin})
+	body, err := json.Marshal(stampRecord{Key: key, Epoch: st.Epoch, Origin: st.Origin})
 	if err != nil {
 		j.errorsC.Inc()
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.appendLocked(frame); err != nil {
+	if j.log == nil {
+		j.log, err = journal.Open(j.fs, j.path, nil)
+	}
+	if err == nil {
+		err = j.log.Append(body)
+	}
+	if err != nil {
 		j.errorsC.Inc()
 		j.s.obs.log.LogAttrs(context.Background(), slog.LevelWarn, "stamp journal append failed",
 			slog.String("key", key), slog.String("error", err.Error()))
@@ -146,51 +129,29 @@ func (j *stampJournal) append(key string, st cluster.Stamp) {
 	}
 }
 
-// appendLocked writes one frame and fsyncs. Caller holds j.mu.
-func (j *stampJournal) appendLocked(frame []byte) error {
-	if j.f == nil {
-		f, err := j.fs.OpenAppend(j.path)
-		if err != nil {
-			return err
-		}
-		j.f = f
-	}
-	if _, err := j.f.Write(frame); err != nil {
-		return err
-	}
-	return j.f.Sync()
-}
-
 // compactLocked rewrites the journal to exactly the live stamp table (one
-// frame per key). Caller holds j.mu.
+// frame per key). A failed rewrite leaves the old journal, whose fold is the
+// same table, in place. Caller holds j.mu.
 func (j *stampJournal) compactLocked() {
-	if j.f != nil {
-		j.f.Close()
-		j.f = nil
-	}
-	if err := j.fs.Truncate(j.path, 0); err != nil {
-		return // stale frames linger; the Stamp-max fold on reload is harmless
-	}
 	table := j.s.cluster.KeyStamps()
-	j.appends = len(table)
+	bodies := make([][]byte, 0, len(table))
 	for key, st := range table {
-		frame, err := encodeFrame(stampRecord{Key: key, Epoch: st.Epoch, Origin: st.Origin})
-		if err != nil {
-			continue
+		if body, err := json.Marshal(stampRecord{Key: key, Epoch: st.Epoch, Origin: st.Origin}); err == nil {
+			bodies = append(bodies, body)
 		}
-		if err := j.appendLocked(frame); err != nil {
-			j.errorsC.Inc()
-			return
-		}
+	}
+	j.appends = len(bodies)
+	if err := j.log.Rewrite(bodies); err != nil {
+		j.errorsC.Inc()
 	}
 }
 
 // close releases the journal handle.
 func (j *stampJournal) close() {
 	j.mu.Lock()
-	if j.f != nil {
-		j.f.Close()
-		j.f = nil
+	if j.log != nil {
+		j.log.Close()
+		j.log = nil
 	}
 	j.mu.Unlock()
 }
