@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race chaos chaos-net cluster-check bench bench-json bench-serve bench-ingest bench-cluster bench-smoke perfbench fuzz obs-check serve vet all
+.PHONY: build test race chaos chaos-net cluster-check bench bench-json bench-serve bench-ingest bench-cluster bench-smoke perfbench perfbench-ab fuzz obs-check serve vet all
 
 all: build vet test
 
@@ -89,9 +89,20 @@ perfbench:
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds $(PERFBENCH_SECONDS) --trace 0 || exit 1; \
 	done
 
+# Same-host A/B of the end-to-end benchmark: BASE's committed files against
+# the working tree, PAIRS interleaved pairs per workload (base first on odd
+# pairs), medians, base IQR and a verdict per metric from BENCHMARK.json's
+# bounds. WORKLOADS is a comma-separated subset (default: all).
+PAIRS ?= 4
+SEED ?= 1
+WORKLOADS ?=
+perfbench-ab:
+	@test -n "$(BASE)" || { echo "usage: make perfbench-ab BASE=<rev> [PAIRS=4] [SEED=1] [WORKLOADS=a,b]"; exit 2; }
+	$(GO) run ./cmd/epfis-perfab -base $(BASE) -pairs $(PAIRS) -seed $(SEED) -workloads "$(WORKLOADS)"
+
 # One-iteration pass over the perf-relevant benchmarks, as run in CI.
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/lrusim/ ./internal/workload/ ./internal/experiment/
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/lrusim/ ./internal/curvefit/ ./internal/workload/ ./internal/experiment/
 
 # Cluster smoke: spawn a 3-node cluster (R=2) on loopback, install an index
 # through one node, verify bit-exact estimates from all three (own vs proxy),

@@ -14,9 +14,9 @@
 //   - FitGreedy: Douglas–Peucker-style recursive splitting at the point of
 //     maximum vertical error. Near-optimal in practice, O(n k).
 //   - FitOptimal: dynamic program minimizing the maximum absolute vertical
-//     error for exactly k segments (cf. Natarajan 1991). O(n^2 k) with an
-//     O(n^2) error table; the default for LRU-Fit, since the FPF grids are
-//     tiny (tens of points).
+//     error for exactly k segments (cf. Natarajan 1991). The DP is O(n^2 k),
+//     but filling its n×n chord-error table costs O(n^3), the dominant term;
+//     the default for LRU-Fit, since the FPF grids are tiny (tens of points).
 package curvefit
 
 import (
@@ -183,14 +183,12 @@ func FitOptimal(pts []Point, segments int) (PolyLine, error) {
 	if segments > n-1 {
 		segments = n - 1
 	}
-	// segErr[i][j] = max abs error of the chord pts[i]..pts[j] over points
+	// segErr[i*n+j] = max abs error of the chord pts[i]..pts[j] over points
 	// strictly between them.
-	segErr := make([][]float64, n)
+	segErr := make([]float64, n*n)
 	for i := 0; i < n; i++ {
-		segErr[i] = make([]float64, n)
 		for j := i + 1; j < n; j++ {
-			_, e := maxSegmentError(pts, i, j)
-			segErr[i][j] = e
+			_, segErr[i*n+j] = maxSegmentError(pts, i, j)
 		}
 	}
 	const inf = math.MaxFloat64
@@ -213,7 +211,7 @@ func FitOptimal(pts []Point, segments int) (PolyLine, error) {
 				if dp[s-1][i] == inf {
 					continue
 				}
-				e := math.Max(dp[s-1][i], segErr[i][j])
+				e := math.Max(dp[s-1][i], segErr[i*n+j])
 				if e < dp[s][j] {
 					dp[s][j] = e
 					parent[s][j] = i
@@ -244,13 +242,17 @@ func FitOptimal(pts []Point, segments int) (PolyLine, error) {
 
 // maxSegmentError returns the index and value of the maximum absolute
 // vertical deviation of points strictly between i and j from the chord
-// through pts[i] and pts[j].
+// through pts[i] and pts[j]. It is the fitters' inner loop, so the chord is
+// hoisted out of it; each error is lerp's value to the bit, computed in
+// lerp's order of operations (X is strictly increasing, so dx > 0).
 func maxSegmentError(pts []Point, i, j int) (int, float64) {
+	a := pts[i]
+	dx, dy := pts[j].X-a.X, pts[j].Y-a.Y
 	argmax, maxErr := -1, 0.0
-	for p := i + 1; p < j; p++ {
-		e := math.Abs(pts[p].Y - lerp(pts[i], pts[j], pts[p].X))
+	for k, q := range pts[i+1 : j] {
+		e := math.Abs(q.Y - (a.Y + ((q.X-a.X)/dx)*dy))
 		if e > maxErr {
-			argmax, maxErr = p, e
+			argmax, maxErr = i+1+k, e
 		}
 	}
 	return argmax, maxErr

@@ -1,6 +1,7 @@
 package curvefit
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -291,5 +292,210 @@ func TestFitExactWithFullBudget(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The oracle fitters below are the fitters as they stood before the
+// chord-error kernel was hoisted and the error table flattened, kept
+// verbatim so the faster kernel can be checked against them bit for bit.
+
+func oracleLerp(a, b Point, x float64) float64 {
+	if b.X == a.X {
+		return a.Y
+	}
+	t := (x - a.X) / (b.X - a.X)
+	return a.Y + t*(b.Y-a.Y)
+}
+
+func oracleMaxSegmentError(pts []Point, i, j int) (int, float64) {
+	argmax, maxErr := -1, 0.0
+	for p := i + 1; p < j; p++ {
+		e := math.Abs(pts[p].Y - oracleLerp(pts[i], pts[j], pts[p].X))
+		if e > maxErr {
+			argmax, maxErr = p, e
+		}
+	}
+	return argmax, maxErr
+}
+
+func oracleFitGreedy(pts []Point, segments int) (PolyLine, error) {
+	if err := checkFitArgs(pts, segments); err != nil {
+		return PolyLine{}, err
+	}
+	knotIdx := []int{0, len(pts) - 1}
+	for len(knotIdx)-1 < segments {
+		worstSeg, worstPoint, worstErr := -1, -1, 0.0
+		for s := 0; s+1 < len(knotIdx); s++ {
+			i, j := knotIdx[s], knotIdx[s+1]
+			p, e := oracleMaxSegmentError(pts, i, j)
+			if e > worstErr {
+				worstSeg, worstPoint, worstErr = s, p, e
+			}
+		}
+		if worstSeg < 0 || worstErr == 0 {
+			break
+		}
+		knotIdx = append(knotIdx, 0)
+		copy(knotIdx[worstSeg+2:], knotIdx[worstSeg+1:])
+		knotIdx[worstSeg+1] = worstPoint
+	}
+	return polylineFromIndices(pts, knotIdx), nil
+}
+
+func oracleFitOptimal(pts []Point, segments int) (PolyLine, error) {
+	if err := checkFitArgs(pts, segments); err != nil {
+		return PolyLine{}, err
+	}
+	n := len(pts)
+	if segments > n-1 {
+		segments = n - 1
+	}
+	segErr := make([][]float64, n)
+	for i := 0; i < n; i++ {
+		segErr[i] = make([]float64, n)
+		for j := i + 1; j < n; j++ {
+			_, e := oracleMaxSegmentError(pts, i, j)
+			segErr[i][j] = e
+		}
+	}
+	const inf = math.MaxFloat64
+	dp := make([][]float64, segments+1)
+	parent := make([][]int, segments+1)
+	for s := range dp {
+		dp[s] = make([]float64, n)
+		parent[s] = make([]int, n)
+		for j := range dp[s] {
+			dp[s][j] = inf
+			parent[s][j] = -1
+		}
+	}
+	dp[0][0] = 0
+	for s := 1; s <= segments; s++ {
+		for j := 1; j < n; j++ {
+			for i := s - 1; i < j; i++ {
+				if dp[s-1][i] == inf {
+					continue
+				}
+				e := math.Max(dp[s-1][i], segErr[i][j])
+				if e < dp[s][j] {
+					dp[s][j] = e
+					parent[s][j] = i
+				}
+			}
+		}
+	}
+	idx := []int{n - 1}
+	s, j := segments, n-1
+	for s > 0 {
+		j = parent[s][j]
+		if j < 0 {
+			return PolyLine{}, fmt.Errorf("curvefit: internal: broken DP backtrack at s=%d", s)
+		}
+		idx = append(idx, j)
+		s--
+	}
+	for a, b := 0, len(idx)-1; a < b; a, b = a+1, b-1 {
+		idx[a], idx[b] = idx[b], idx[a]
+	}
+	return polylineFromIndices(pts, idx), nil
+}
+
+// oracleInput draws one fitter input: strictly increasing x with random
+// gaps, and y from one of the shapes that stress the error kernel's ties
+// and rounding.
+func oracleInput(rng *rand.Rand) []Point {
+	n := 2 + rng.Intn(70)
+	pts := make([]Point, n)
+	x := rng.Float64() * 100
+	for i := range pts {
+		x += 0.25 + rng.Float64()*float64(1+rng.Intn(500))
+		pts[i].X = x
+	}
+	switch rng.Intn(5) {
+	case 0: // tie-heavy: many equal chord errors
+		for i := range pts {
+			pts[i].Y = float64(rng.Intn(4))
+		}
+	case 1: // flat runs broken by steps
+		y := float64(rng.Intn(1000))
+		for i := range pts {
+			if rng.Intn(6) == 0 {
+				y = float64(rng.Intn(1000))
+			}
+			pts[i].Y = y
+		}
+	case 2: // monotone decreasing, FPF-like: steep, then flat at A
+		total := 1e3 + rng.Float64()*1e9
+		accessed := total * rng.Float64()
+		scale := 1 + rng.Float64()*x
+		for i := range pts {
+			pts[i].Y = math.Round(accessed + (total-accessed)*math.Exp(-pts[i].X/scale))
+		}
+	case 3: // large values, integers as fetch counts are
+		for i := range pts {
+			pts[i].Y = float64(rng.Int63n(1e9 + 1))
+		}
+	default: // arbitrary reals
+		for i := range pts {
+			pts[i].Y = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(10)))
+		}
+	}
+	return pts
+}
+
+func knotsIdentical(a, b PolyLine) bool {
+	if len(a.Knots) != len(b.Knots) {
+		return false
+	}
+	for i := range a.Knots {
+		if math.Float64bits(a.Knots[i].X) != math.Float64bits(b.Knots[i].X) ||
+			math.Float64bits(a.Knots[i].Y) != math.Float64bits(b.Knots[i].Y) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestFittersMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for c := 0; c < 10_000; c++ {
+		pts := oracleInput(rng)
+		segments := 1 + rng.Intn(8)
+		// The kernel itself, on a sample of chords: a rounding change that
+		// happens not to move any knot still shows here.
+		for k := 0; k < 20; k++ {
+			i := rng.Intn(len(pts) - 1)
+			j := i + 1 + rng.Intn(len(pts)-1-i)
+			p, e := maxSegmentError(pts, i, j)
+			wp, we := oracleMaxSegmentError(pts, i, j)
+			if p != wp || math.Float64bits(e) != math.Float64bits(we) {
+				t.Fatalf("case %d chord %d..%d: error %v at %d, oracle %v at %d", c, i, j, e, p, we, wp)
+			}
+		}
+		for _, f := range []struct {
+			name      string
+			fit, want func([]Point, int) (PolyLine, error)
+		}{{"FitOptimal", FitOptimal, oracleFitOptimal}, {"FitGreedy", FitGreedy, oracleFitGreedy}} {
+			got, err := f.fit(pts, segments)
+			want, werr := f.want(pts, segments)
+			if err != nil || werr != nil {
+				t.Fatalf("case %d %s: errors %v / %v", c, f.name, err, werr)
+			}
+			if !knotsIdentical(got, want) {
+				t.Fatalf("case %d %s(%d points, %d segments): knots %v, oracle %v", c, f.name, len(pts), segments, got.Knots, want.Knots)
+			}
+		}
+	}
+}
+
+// BenchmarkFitOptimal fits the six-segment LRU-Fit polyline to an 80-point
+// FPF-shaped grid, the size of one synthetic index's grid.
+func BenchmarkFitOptimal(b *testing.B) {
+	pts := fpfLike(80, 25_000, 625)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := FitOptimal(pts, 6); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

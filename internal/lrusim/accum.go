@@ -13,14 +13,15 @@ import (
 // table, and the stack-distance counts across calls, so the fetch curve (and
 // everything derived from it: FPF samples, the clustering factor) can be read
 // at any point with Curve() without replaying history. Analyze and NewWindows
-// run the same pass on a pooled Accum.
+// run the same pass on pooled Accums.
 //
 // Two Accums can also be combined: a.Merge(b) produces in a the exact state
 // of an accumulator that consumed a's stream followed by b's stream. Feed and
 // Merge are both bit-identical to the move-to-front list oracle over the
 // concatenated trace (property-tested in accum_test.go), so per-shard
-// accumulators — one per ingest worker, or one per node — roll up into the
-// same curve the offline one-shot pass would have produced.
+// accumulators — one per ingest worker, one per node, or one per chunk of
+// Analyze's split pass — roll up into the same curve a single serial pass
+// would have produced.
 //
 // Memory grows with the stream: the Fenwick tree is indexed by reference
 // position (one int32 per reference) and the last-position table by distinct

@@ -3,6 +3,8 @@ package lrusim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -293,6 +295,87 @@ func TestAnalyzeMatchesListOracleProperty(t *testing.T) {
 	}
 }
 
+// splitShapes are the trace shapes the split pass is checked on, each a
+// generator of a trace of about n references.
+var splitShapes = map[string]func(rng *rand.Rand, n int) Trace{
+	"random": func(rng *rand.Rand, n int) Trace { return randomTrace(rng, n, 1+rng.Intn(60)) },
+	"clustered": func(rng *rand.Rand, n int) Trace {
+		return clusteredTrace(rng, n, 1+rng.Intn(60), 1+rng.Intn(6))
+	},
+	// Every cut of every split into 2..8 parts falls inside a run of one
+	// page, so each later chunk opens with a repeat of the page the chunk
+	// before it closed with.
+	"runs-across-cuts": func(rng *rand.Rand, n int) Trace {
+		t := randomTrace(rng, n, 1+rng.Intn(30))
+		for parts := 2; parts <= 8; parts++ {
+			pg := storage.PageID(rng.Intn(30))
+			for k := 1; k < parts; k++ {
+				c := k * n / parts
+				for i := max(0, c-3); i < min(n, c+3); i++ {
+					t[i] = pg
+				}
+			}
+		}
+		return t
+	},
+	// Dense ids then sparse ids (or the reverse), sharing some pages: the
+	// sparse chunks take the map remap, the dense ones the slice remap.
+	"dense-then-sparse": func(rng *rand.Rand, n int) Trace {
+		pages := 1 + rng.Intn(40)
+		return append(randomTrace(rng, n/2, pages), sparseTrace(rng, n-n/2, pages)...)
+	},
+	"sparse-then-dense": func(rng *rand.Rand, n int) Trace {
+		pages := 1 + rng.Intn(40)
+		return append(sparseTrace(rng, n/2, pages), randomTrace(rng, n-n/2, pages)...)
+	},
+	// Every chunk is shorter than the page count, and with more parts than
+	// references some chunks are empty.
+	"short-chunks": func(rng *rand.Rand, n int) Trace {
+		return randomTrace(rng, 1+n%40, 100+rng.Intn(900))
+	},
+	"all-distinct": func(rng *rand.Rand, n int) Trace {
+		t := make(Trace, n)
+		for i, p := range rng.Perm(n) {
+			t[i] = storage.PageID(p)
+		}
+		return t
+	},
+}
+
+func TestAnalyzePartsMatchesSerialProperty(t *testing.T) {
+	// The split pass into 1..8 contiguous chunks, merged in order, must
+	// leave exactly the state of one Feed of the whole trace: the same
+	// histogram, bit for bit, the oracle's, and the same curve.
+	for name, shape := range splitShapes {
+		t.Run(name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				trace := shape(rng, 1+rng.Intn(600))
+				serial := NewAccum()
+				serial.Feed(trace)
+				want, wantCurve := serial.Histogram(), serial.Curve()
+				if !histogramsEqual(want, ListSimulator{}.Run(trace)) {
+					t.Logf("seed %d: serial pass disagrees with the oracle", seed)
+					return false
+				}
+				for parts := 1; parts <= 8; parts++ {
+					a := analyzeParts(trace, parts)
+					got, gotCurve := a.Histogram(), a.Curve()
+					accumPool.Put(a)
+					if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotCurve, wantCurve) {
+						t.Logf("seed %d: %d parts of %d references diverge from one Feed", seed, parts, len(trace))
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 func TestAnalyzeEmptyAndSingle(t *testing.T) {
 	if c := Analyze(nil); c.Fetches(1) != 0 || c.Total() != 0 {
 		t.Error("empty trace curve wrong")
@@ -303,13 +386,14 @@ func TestAnalyzeEmptyAndSingle(t *testing.T) {
 }
 
 func TestAnalyzePooledConcurrent(t *testing.T) {
-	// The pool hands each goroutine its own Accum; concurrent Analyze calls
-	// must not interfere (run under -race in CI).
+	// The pool hands each goroutine its own Accums; concurrent Analyze calls
+	// must not interfere (run under -race in CI). Every trace is long enough
+	// for Analyze to split it whenever GOMAXPROCS > 1.
 	rng := rand.New(rand.NewSource(21))
 	traces := make([]Trace, 16)
 	wants := make([]*FetchCurve, len(traces))
 	for i := range traces {
-		traces[i] = clusteredTrace(rng, 400+i*37, 40+i, 4)
+		traces[i] = clusteredTrace(rng, 2*minChunkRefs+i*997, 40+i, 4)
 		wants[i] = ListSimulator{}.Run(traces[i]).FetchCurve()
 	}
 	errs := make(chan error, len(traces))
@@ -466,6 +550,44 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Analyze(trace)
+	}
+}
+
+// BenchmarkAnalyzeSplit compares the serial pass with the split one
+// (max(2, GOMAXPROCS) chunks) on offline-fit-sized traces: a 25k-reference
+// clustered index scan over 625 pages, the same references shuffled, and
+// two sequential passes over n/2 pages. There every page of the later chunk
+// needs Merge's fix-up, which costs more than feeding the chunk did, so the
+// split loses (~45% slower on a 2-vCPU Xeon): it pays off only while a
+// chunk's distinct pages are a small share of its references, as in every
+// index scan with several records per page.
+func BenchmarkAnalyzeSplit(b *testing.B) {
+	const n = 25_000
+	rng := rand.New(rand.NewSource(1))
+	clustered := clusteredTrace(rng, n, 625, 8)
+	unclustered := clustered.Clone()
+	rng.Shuffle(n, func(i, j int) { unclustered[i], unclustered[j] = unclustered[j], unclustered[i] })
+	twoPasses := make(Trace, n)
+	for i := range twoPasses {
+		twoPasses[i] = storage.PageID(i % (n / 2))
+	}
+	split := max(2, runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name  string
+		trace Trace
+	}{{"clustered", clustered}, {"unclustered", unclustered}, {"two-passes", twoPasses}} {
+		for _, parts := range []int{1, split} {
+			mode := "serial"
+			if parts > 1 {
+				mode = "split"
+			}
+			b.Run(c.name+"/"+mode, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					accumPool.Put(analyzeParts(c.trace, parts))
+				}
+			})
+		}
 	}
 }
 
