@@ -20,14 +20,16 @@ race:
 	$(GO) test -race ./internal/catalog/... ./internal/cluster/... ./internal/journal/... ./internal/lrusim/... ./internal/service/... ./cmd/epfis-serve/...
 
 # Resilience drills under the race detector: fault injection on every catalog
-# write path mid-traffic (including WAL append/fsync/checkpoint faults under
-# concurrent ingest + readers), commit-abort and recovery invariants, overload
-# shedding, breaker/degraded behaviour, the durable-log primitive's torn-append
-# and rewrite-fault proofs, plus recovery fuzz smokes for the legacy rename
-# store, the WAL log, and the journal frame reader under every log.
+# write path mid-traffic (WAL append/fsync and checkpoint faults under
+# concurrent ingest + readers), commit-abort, checkpoint and recovery
+# invariants, the merge lost-update regression, migration of a
+# rename-per-commit catalog directory, overload shedding, breaker/degraded
+# behaviour, the durable-log primitive's torn-append and rewrite-fault proofs,
+# plus recovery fuzz smokes for the checkpoint file, the WAL log, and the
+# journal frame reader under every log.
 chaos:
 	$(GO) test -race ./internal/faultfs/ ./internal/resilience/ ./internal/journal/
-	$(GO) test -race -run 'TestChaos|TestOverload|TestDeleted|TestHealthz|TestCommitAborts|TestFsync|TestOpenRecovers|TestReload|TestWAL' \
+	$(GO) test -race -run 'TestChaos|TestOverload|TestDeleted|TestHealthz|TestCommitAborts|TestPartialWrite|TestFsync|TestOpenRecovers|TestReload|TestWAL|TestMergeKeeps|TestRenameStore' \
 		./internal/catalog/ ./internal/service/
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenCatalogStore -fuzztime=20s ./internal/catalog/
 	$(GO) test -run=Fuzz -fuzz=FuzzWALRecovery -fuzztime=20s ./internal/catalog/
@@ -39,12 +41,13 @@ chaos:
 # store to converge to one content hash with bit-exact estimates — plus the
 # hinted-handoff restart, hint- and stamp-journal torn-append,
 # failed-compaction and every-byte-truncation proofs, epoch-guard,
-# ingest-routing, and WAL ingest-journal crash-replay proofs, and the
-# request-deadline drills (stalled bodies, slow proxy owners, a PUT whose
-# quorum lands past its deadline).
+# ingest-routing, and WAL ingest-journal crash-replay proofs, the
+# stamp-skip proof (a merge between a mutation's commit and its stamp skips
+# the key), and the request-deadline drills (stalled bodies, slow proxy
+# owners, a PUT whose quorum lands past its deadline).
 chaos-net:
 	$(GO) test -race ./internal/faultnet/
-	$(GO) test -race -run 'TestClusterPartition|TestAsymmetricPartition|TestReplicatedDeleteEpochGuard|TestHandoffJournal|TestStampJournal|TestClusterIngestOwnership|TestIngestJournal|TestDeadline' \
+	$(GO) test -race -run 'TestClusterPartition|TestAsymmetricPartition|TestReplicatedDeleteEpochGuard|TestHandoffJournal|TestStampJournal|TestStampSkip|TestClusterIngestOwnership|TestIngestJournal|TestDeadline' \
 		./internal/service/
 	$(GO) test -race -run 'TestWALIngestJournal' ./internal/catalog/
 
@@ -65,10 +68,11 @@ bench-json:
 bench-serve:
 	$(GO) run ./cmd/epfis-bench -suite serve -out BENCH_serve.json
 
-# Ingestion-path baseline: WAL group-commit vs legacy rename mutation
-# throughput, Accum feed/merge cost, and POST /v1/ingest handler latency,
-# written as BENCH_ingest.json. Exits non-zero when the WAL speedup falls
-# under -min-wal-speedup (default 10x) or Feed exceeds its alloc budget.
+# Ingestion-path baseline: WAL group-commit mutation throughput, Accum
+# feed/merge cost, and POST /v1/ingest handler latency, written as
+# BENCH_ingest.json. Exits non-zero when durable mutations fall under
+# -min-wal-mutations-per-sec (default 8000/s) or Feed exceeds its alloc
+# budget.
 bench-ingest:
 	$(GO) run ./cmd/epfis-bench -suite ingest -out BENCH_ingest.json
 

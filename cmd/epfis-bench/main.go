@@ -126,8 +126,8 @@ func main() {
 
 		maxAllocsFeed = flag.Int64("max-allocs-feed", 2,
 			"ingest suite: fail when lrusim/accum_feed_512 exceeds this amortized allocs/op")
-		minWALSpeedup = flag.Float64("min-wal-speedup", 10,
-			"ingest suite: fail when WAL mutation throughput is below this multiple of the rename-per-commit baseline")
+		minWALMutations = flag.Float64("min-wal-mutations-per-sec", 8000,
+			"ingest suite: fail when durable catalog mutations under parallel writers fall below this rate")
 
 		maxAllocsProxied = flag.Int64("max-allocs-proxied", 32,
 			"cluster suite: fail when cluster/proxied_estimate exceeds this allocs/op")
@@ -155,8 +155,8 @@ func main() {
 			*out = "BENCH_ingest.json"
 		}
 		if !runIngestSuite(*out, ingestBudgets{
-			FeedAllocsPerOpMax: *maxAllocsFeed,
-			WALSpeedupMin:      *minWALSpeedup,
+			FeedAllocsPerOpMax:    *maxAllocsFeed,
+			WALMutationsPerSecMin: *minWALMutations,
 		}) {
 			os.Exit(1)
 		}

@@ -1,10 +1,20 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
+
+	"epfis/internal/catalog"
+	"epfis/internal/curvefit"
+	"epfis/internal/stats"
 )
 
 func TestRunRejectsCorruptCatalog(t *testing.T) {
@@ -81,5 +91,90 @@ func TestFaultFSBuildsInjector(t *testing.T) {
 	}
 	if _, ok := fsys.(interface{ Injected() int }); !ok {
 		t.Fatalf("faultFS returned %T, want an injector", fsys)
+	}
+}
+
+// TestRunPersistsThroughWALBesideCatalog boots on a catalog path with no
+// -wal-dir: the write-ahead log goes beside the catalog file, an installed
+// index survives shutdown, and the store reopens with it.
+func TestRunPersistsThroughWALBesideCatalog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "catalog.json")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	done := make(chan error, 1)
+	go func() { done <- run([]string{"-catalog", path, "-addr", addr, "-quiet"}) }()
+	base := "http://" + addr
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(base + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("run exited before serving: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("service never became healthy")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	body, err := json.Marshal(&stats.IndexStats{
+		Table: "orders", Column: "key", T: 100, N: 1000, I: 100,
+		BMin: 12, BMax: 100, FMin: 500, C: 0.5,
+		Curve: curvefit.PolyLine{Knots: []curvefit.Point{
+			{X: 12, Y: 500}, {X: 100, Y: 100}}},
+		GridPoints: 2, CollectedAt: time.Unix(0, 0).UTC(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, base+"/v1/indexes/orders/key", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT status %d", resp.StatusCode)
+	}
+
+	// run drains on SIGTERM; it has been listening for it since it began
+	// serving.
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not stop on SIGTERM")
+	}
+
+	if _, err := os.Stat(path + ".wal"); err != nil {
+		t.Fatalf("no write-ahead log beside the catalog: %v", err)
+	}
+	st, err := catalog.OpenWAL(path, catalog.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if e, err := st.Get("orders", "key"); err != nil || e.FMin != 500 {
+		t.Fatalf("installed index after restart = %v, %v", e, err)
 	}
 }

@@ -309,12 +309,15 @@ func ParseNetFaultRules(spec string) ([]NetFaultRule, error) {
 // NewCatalogStore returns an empty in-memory concurrent catalog store.
 func NewCatalogStore() *CatalogStore { return catalog.NewStore() }
 
-// OpenCatalogStore binds a concurrent catalog store to a catalog file,
-// loading it when present; writes persist back with checksummed atomic
-// renames (fsync before rename, previous generation retained). A corrupt or
-// truncated file is recovered from the previous generation when one exists;
-// CatalogStore.Recovered reports when that happened.
-func OpenCatalogStore(path string) (*CatalogStore, error) { return catalog.Open(path) }
+// OpenCatalogStore opens the durable catalog store for a catalog file:
+// mutations are group-committed to a write-ahead log beside it (path +
+// ".wal") and checkpointed back into the file, which is loaded when present.
+// A corrupt or truncated file is recovered from the retained previous
+// checkpoint when one exists; CatalogStore.Recovered reports when that
+// happened. Close the store when done with it.
+func OpenCatalogStore(path string) (*CatalogStore, error) {
+	return catalog.OpenWAL(path, catalog.WALOptions{})
+}
 
 // NewService builds the estimation HTTP service over a catalog store.
 func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }

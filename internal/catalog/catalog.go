@@ -10,31 +10,40 @@
 //     contention, no allocation. Entries inside a snapshot are shared and
 //     must be treated as read-only.
 //
-//   - Writers (Put, Delete, ReplaceAll, Reload) serialize behind a mutex,
-//     build a fresh entry map from the current one, persist it, and publish
-//     the new snapshot with one atomic store. A reader that loaded the old
-//     snapshot keeps a consistent view for as long as it holds the pointer.
+//   - Every mutation (Put, Delete, ReplaceAll, ImportSnapshot, MergeSnapshot,
+//     MergeEntries, Reload) goes through one commit path: a prepare step,
+//     run under the store mutex, derives the next entry set from the newest
+//     applied snapshot and names the log frames that record the change; the
+//     group-commit leader makes the frames durable and publishes the new
+//     snapshot with one atomic store. A reader that loaded the old snapshot
+//     keeps a consistent view for as long as it holds the pointer.
 //
 // Every published snapshot carries a monotonically increasing generation
 // number, so callers (for example the service's estimate memo cache) can key
 // derived state by generation and have it invalidate naturally when
 // statistics change.
 //
-// When the store is bound to a file path, writes persist the whole catalog
-// crash-safely: a CRC32-C checksum trailer pins the payload, the temp file
-// is fsynced before the atomic rename, the previous generation is retained
-// as <path>.prev, and the directory is fsynced after the rename. Open
-// recovers from a corrupt, truncated, or crash-orphaned catalog file by
-// falling back to the retained previous generation (see persist.go), and
-// Reload re-reads the file in place so statistics refreshed out-of-process
-// swap in without downtime. All filesystem access goes through a
+// OpenWAL binds a store to a catalog file: mutations append to a
+// group-committed write-ahead log beside it, and the file itself is a
+// periodic checkpoint written crash-safely (a CRC32-C trailer pins the
+// payload, the temp file is fsynced before the atomic rename, the previous
+// generation is kept as <path>.prev, and the directory is fsynced after the
+// rename). Opening recovers from a corrupt, truncated, or crash-orphaned
+// checkpoint by falling back to .prev (see persist.go) and replays the log
+// past it (see wal.go); Reload adopts a file refreshed out-of-process
+// without downtime. NewStore is the in-memory store: the same commit path
+// with a log that writes nothing. All filesystem access goes through a
 // faultfs.FS, so chaos tests (and the EPFIS_FAULTS knob) can inject torn
 // writes, failed fsyncs, and slow disks deterministically.
 package catalog
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,8 +55,7 @@ import (
 	"epfis/internal/stats"
 )
 
-// ErrNoPath is returned by Reload and Save on a store that is not bound to a
-// catalog file.
+// ErrNoPath is returned by Reload and Checkpoint on an in-memory store.
 var ErrNoPath = errors.New("catalog: store has no backing file")
 
 // ErrNotFound aliases the stats-package sentinel so callers can test lookup
@@ -110,34 +118,21 @@ func (s *Snapshot) CompiledByKey(key string) (*core.CompiledEstimator, bool) {
 	return ce, ok
 }
 
-// Catalog materializes the snapshot as a plain stats.Catalog (copying every
-// entry), for interoperation with code written against the non-concurrent
-// type.
-func (s *Snapshot) Catalog() (*stats.Catalog, error) {
-	c := stats.NewCatalog()
-	for _, k := range s.keys {
-		if err := c.Put(s.entries[k]); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
 // Store is the concurrent, versioned catalog store. The zero value is not
-// usable; construct with NewStore or Open. Methods are safe for concurrent
-// use by any number of goroutines.
+// usable; construct with NewStore or OpenWAL. Methods are safe for
+// concurrent use by any number of goroutines.
 type Store struct {
 	snap atomic.Pointer[Snapshot]
 
-	mu        sync.Mutex // serializes writers and persistence
+	mu        sync.Mutex // serializes prepare steps; guards the fields below
 	path      string     // "" = in-memory only
 	fs        faultfs.FS // filesystem for persistence (faultfs.OS outside tests)
-	recovered bool       // Open served the .prev generation
+	recovered bool       // OpenWAL served the .prev generation
+	ckptSum   uint32     // CRC32-C of the catalog file bytes last loaded or checkpointed
 
-	// WAL mode (nil wal = legacy rename-per-commit persistence). applied is
-	// the newest built snapshot — possibly not yet durable — that the next
-	// mutation stacks on; snap only ever advances to fsynced state. Both are
-	// guarded by mu; see wal.go for the group-commit protocol.
+	// applied is the newest built snapshot — possibly not yet durable — that
+	// the next mutation's prepare derives from; snap only ever advances to
+	// durable state. See wal.go for the group-commit protocol.
 	wal             *wal
 	walQ            walQueue
 	applied         *Snapshot
@@ -150,41 +145,24 @@ type Store struct {
 	ingestSrc func() [][]byte
 }
 
-// NewStore returns an empty in-memory store (no persistence).
+// NewStore returns an empty in-memory store. It commits through the same
+// path as a WAL-backed store; its log writes nothing.
 func NewStore() *Store {
-	st := &Store{fs: faultfs.OS()}
-	st.snap.Store(newSnapshot(0, map[string]*stats.IndexStats{}, nil))
-	return st
+	return newStore(newSnapshot(0, map[string]*stats.IndexStats{}, nil), &wal{}, -1)
 }
 
-// Open binds a store to a catalog file. If the file exists it is loaded,
-// checksum-verified, and validated (generation 1); a corrupt or truncated
-// file falls back to the retained previous generation; if neither exists
-// the store starts empty and the file is created on the first write.
-func Open(path string) (*Store, error) { return OpenFS(path, faultfs.OS()) }
-
-// OpenFS is Open over an explicit filesystem — the injection point for
-// fault-injected chaos tests and the EPFIS_FAULTS knob.
-func OpenFS(path string, fsys faultfs.FS) (*Store, error) {
-	st := NewStore()
-	st.path = path
-	st.fs = fsys
-	c, recovered, err := loadWithRecovery(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	st.recovered = recovered
-	if c != nil {
-		st.snap.Store(snapshotOf(c, 1))
-	}
-	return st, nil
+func newStore(snap *Snapshot, w *wal, checkpointEvery int) *Store {
+	st := &Store{fs: faultfs.OS(), wal: w, applied: snap, checkpointEvery: checkpointEvery}
+	st.walQ.cond = sync.NewCond(&st.walQ.mu)
+	st.snap.Store(snap)
+	return st
 }
 
 // Path reports the backing catalog file, or "" for an in-memory store.
 func (st *Store) Path() string { return st.path }
 
-// Recovered reports whether Open could not verify the main catalog file and
-// served the retained previous generation instead.
+// Recovered reports whether OpenWAL could not verify the main catalog file
+// and served the retained previous generation instead.
 func (st *Store) Recovered() bool { return st.recovered }
 
 // Snapshot returns the current immutable view. This is a single atomic load;
@@ -215,35 +193,34 @@ func (st *Store) Put(e *stats.IndexStats) (uint64, error) {
 		return 0, err
 	}
 	cp := deepCopy(e)
-	if st.wal != nil {
-		return st.walPut(cp)
+	payload, err := json.Marshal(cp)
+	if err != nil {
+		return 0, fmt.Errorf("catalog: encode entry: %w", err)
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	cur := st.snap.Load()
-	next := cloneEntries(cur.entries)
-	next[cp.Key()] = cp
-	return st.commitLocked(next)
+	return st.commit(func(base *Snapshot) (map[string]*stats.IndexStats, []walFrame) {
+		next := cloneEntries(base.entries)
+		next[cp.Key()] = cp
+		return next, []walFrame{{walFramePut, payload}}
+	})
 }
 
 // Delete removes the entry for table.column, reporting whether it existed.
 // Deleting a missing entry is a no-op that does not bump the generation.
 func (st *Store) Delete(table, column string) (bool, uint64, error) {
 	key := table + "." + column
-	if st.wal != nil {
-		return st.walDelete(key)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	cur := st.snap.Load()
-	if _, ok := cur.entries[key]; !ok {
-		return false, cur.gen, nil
-	}
-	next := cloneEntries(cur.entries)
-	delete(next, key)
-	gen, err := st.commitLocked(next)
+	gen, err := st.commit(func(base *Snapshot) (map[string]*stats.IndexStats, []walFrame) {
+		if _, ok := base.entries[key]; !ok {
+			return nil, nil
+		}
+		next := cloneEntries(base.entries)
+		delete(next, key)
+		return next, []walFrame{{walFrameDelete, []byte(key)}}
+	})
 	if err != nil {
-		return false, cur.gen, err
+		return false, 0, err
+	}
+	if gen == 0 {
+		return false, st.Generation(), nil
 	}
 	return true, gen, nil
 }
@@ -251,94 +228,95 @@ func (st *Store) Delete(table, column string) (bool, uint64, error) {
 // ReplaceAll swaps the entire catalog contents for c's entries in one
 // generation step (c itself is not retained).
 func (st *Store) ReplaceAll(c *stats.Catalog) (uint64, error) {
-	next := map[string]*stats.IndexStats{}
-	for _, k := range c.Keys() {
-		e, err := c.Get(splitKey(k))
-		if err != nil {
-			return 0, err
-		}
+	next := entriesOf(c)
+	for k, e := range next {
 		next[k] = deepCopy(e)
 	}
-	return st.commitReplace(next)
-}
-
-// commitReplace installs a full entry set as one generation step, routing
-// through the WAL when the store is WAL-backed.
-func (st *Store) commitReplace(next map[string]*stats.IndexStats) (uint64, error) {
-	if st.wal != nil {
-		return st.walReplaceAll(next)
+	payload, err := catalogJSON(next)
+	if err != nil {
+		return 0, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.commitLocked(next)
+	return st.replaceAll(next, payload)
 }
 
-// Reload re-reads the backing catalog file and publishes its contents as a
-// new generation, so statistics refreshed by an out-of-process LRU-Fit run
-// swap in without downtime. In-flight readers keep their old snapshot.
-// A WAL-backed store reloads the checkpoint plus the committed log tail and
-// republishes the result through the log, so the reload itself is a durable
-// mutation like any other.
+// replaceAll commits entries as the whole catalog, logged as one replace
+// frame carrying payload, their catalog JSON.
+func (st *Store) replaceAll(entries map[string]*stats.IndexStats, payload []byte) (uint64, error) {
+	return st.commit(func(*Snapshot) (map[string]*stats.IndexStats, []walFrame) {
+		return entries, []walFrame{{walFrameReplace, payload}}
+	})
+}
+
+// Reload picks up a catalog file refreshed out-of-process (an LRU-Fit rerun
+// writing the catalog path) as a new generation, so statistics swap in
+// without downtime; in-flight readers keep their old snapshot.
+//
+// A file whose bytes differ from the checkpoint the store last loaded or
+// wrote is verified and adopted exactly as it stands — the log tail is not
+// replayed over it — logged as one replace frame, and rewritten as the
+// store's own checkpoint, so the reload survives a restart. Bytes that fail
+// verification are never adopted: the current snapshot stays published and
+// the caller (the service's degraded mode) decides how loudly to surface
+// the failure. An unchanged file holds nothing the store lacks, so its
+// current entries are republished as the next generation.
 func (st *Store) Reload() (uint64, error) {
 	if st.path == "" {
 		return 0, ErrNoPath
 	}
-	if st.wal != nil {
-		return st.walReload()
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	c, err := loadVerified(st.fs, st.path)
+	var gen uint64
+	// Read and compare as the group-commit leader: no checkpoint can rewrite
+	// the file, or record its checksum, in between.
+	err := st.lead(func() error {
+		data, err := st.fs.ReadFile(st.path)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+		st.mu.Lock()
+		own := crc32.Checksum(data, crcTable) == st.ckptSum
+		st.mu.Unlock()
+		if own {
+			gen, err = st.commitAsLeader(func(base *Snapshot) (map[string]*stats.IndexStats, []walFrame) {
+				return base.entries, nil
+			})
+			return err
+		}
+		if err != nil {
+			return err
+		}
+		payload, _, err := verifyPayload(data)
+		if err != nil {
+			return err
+		}
+		c, err := stats.Load(bytes.NewReader(payload))
+		if err != nil {
+			return err
+		}
+		entries := entriesOf(c)
+		gen, err = st.commitAsLeader(func(*Snapshot) (map[string]*stats.IndexStats, []walFrame) {
+			return entries, []walFrame{{walFrameReplace, payload}}
+		})
+		if err == nil {
+			// Best effort, like every checkpoint: the replace frame is
+			// already durable in the log.
+			_ = st.checkpointAsLeader()
+		}
+		return err
+	})
 	if err != nil {
-		// Never adopt bytes that fail verification: the current snapshot
-		// stays published, and the caller (the service's degraded mode)
-		// decides how loudly to surface the failure.
 		return 0, fmt.Errorf("catalog: reload: %w", err)
 	}
-	next := snapshotOf(c, st.snap.Load().gen+1)
-	st.snap.Store(next)
-	return next.gen, nil
+	return gen, nil
 }
 
-// Save persists the current snapshot to the backing file (atomic rename).
-// Writes already persist implicitly; Save is for forcing a write after
-// out-of-band changes or for checkpointing an Open-on-missing-file store.
-// On a WAL-backed store, Save forces a checkpoint and rotates the log.
-func (st *Store) Save() error {
-	if st.path == "" {
-		return ErrNoPath
-	}
-	if st.wal != nil {
-		return st.Checkpoint()
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return writeAtomicFS(st.fs, st.path, st.snap.Load())
-}
-
-// commitLocked persists (when file-backed) and publishes a new snapshot
-// built from entries. Persistence failures abort the commit: the in-memory
-// view and the file never diverge. Callers must hold st.mu.
-func (st *Store) commitLocked(entries map[string]*stats.IndexStats) (uint64, error) {
-	cur := st.snap.Load()
-	next := newSnapshot(cur.gen+1, entries, cur)
-	if st.path != "" {
-		if err := writeAtomicFS(st.fs, st.path, next); err != nil {
-			return 0, err
-		}
-	}
-	st.snap.Store(next)
-	return next.gen, nil
-}
-
-func snapshotOf(c *stats.Catalog, gen uint64) *Snapshot {
-	entries := map[string]*stats.IndexStats{}
+// entriesOf lists c's entries by key.
+func entriesOf(c *stats.Catalog) map[string]*stats.IndexStats {
+	entries := make(map[string]*stats.IndexStats, c.Len())
 	for _, k := range c.Keys() {
 		if e, err := c.Get(splitKey(k)); err == nil {
 			entries[k] = e
 		}
 	}
-	return newSnapshot(gen, entries, nil)
+	return entries
 }
 
 // newSnapshot assembles a snapshot, compiling an Est-IO estimator for every

@@ -124,19 +124,13 @@ func TestPutDeepCopies(t *testing.T) {
 
 func TestPersistenceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "catalog.json")
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openAt(t, path, nil)
 	if st.Len() != 0 {
 		t.Fatalf("missing file should open empty, len = %d", st.Len())
 	}
-	if _, err := st.Put(entry("orders", "key", 500)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Put(entry("orders", "custno", 600)); err != nil {
-		t.Fatal(err)
-	}
+	put(t, st, "orders", "key", 500)
+	put(t, st, "orders", "custno", 600)
+	checkpointed(t, st)
 
 	// No stray temp files after atomic renames.
 	names, err := os.ReadDir(filepath.Dir(path))
@@ -148,11 +142,9 @@ func TestPersistenceRoundTrip(t *testing.T) {
 			t.Fatalf("leftover temp file %s", de.Name())
 		}
 	}
+	st.Close()
 
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := openAt(t, path, nil)
 	if re.Len() != 2 || re.Generation() != 1 {
 		t.Fatalf("reopened store len=%d gen=%d", re.Len(), re.Generation())
 	}
@@ -165,15 +157,14 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReload refreshes the catalog file out-of-band over an uncheckpointed
+// log tail: Reload must adopt the file exactly (the tail must not be
+// replayed over it), keep it across a restart, and treat the unchanged file
+// as nothing new afterwards.
 func TestReload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "catalog.json")
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Put(entry("orders", "key", 500)); err != nil {
-		t.Fatal(err)
-	}
+	st := openAt(t, path, nil)
+	put(t, st, "orders", "key", 500)
 
 	// Refresh the file out-of-band, as an external LRU-Fit run would.
 	c := stats.NewCatalog()
@@ -187,6 +178,14 @@ func TestReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	fmin := func(st *Store) int64 {
+		t.Helper()
+		e, err := st.Get("orders", "key")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.FMin
+	}
 	gen, err := st.Reload()
 	if err != nil {
 		t.Fatal(err)
@@ -194,12 +193,22 @@ func TestReload(t *testing.T) {
 	if gen != 2 || st.Len() != 2 {
 		t.Fatalf("after reload gen=%d len=%d", gen, st.Len())
 	}
-	e, err := st.Get("orders", "key")
-	if err != nil {
+	if got := fmin(st); got != 777 {
+		t.Fatalf("reload did not swap entry: FMin = %d", got)
+	}
+
+	st.Close()
+	re := openAt(t, path, nil)
+	if got := fmin(re); re.Len() != 2 || got != 777 {
+		t.Fatalf("after restart len=%d FMin=%d, want 2 and 777", re.Len(), got)
+	}
+	// The file is the store's own again: a later reload keeps later commits.
+	put(t, re, "orders", "key", 888)
+	if _, err := re.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	if e.FMin != 777 {
-		t.Fatalf("reload did not swap entry: FMin = %d", e.FMin)
+	if got := fmin(re); got != 888 {
+		t.Fatalf("reload of the unchanged file dropped a commit: FMin = %d", got)
 	}
 
 	if _, err := NewStore().Reload(); !errors.Is(err, ErrNoPath) {
@@ -235,14 +244,8 @@ func TestReplaceAll(t *testing.T) {
 // goroutines hammer Get + Est-IO against the store while one writer installs
 // fresh statistics and periodically reloads from disk. Run with -race.
 func TestConcurrentReadersAndWriter(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "catalog.json")
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Put(entry("orders", "key", 500)); err != nil {
-		t.Fatal(err)
-	}
+	st := openAt(t, filepath.Join(t.TempDir(), "catalog.json"), nil)
+	put(t, st, "orders", "key", 500)
 
 	const (
 		readers      = 8

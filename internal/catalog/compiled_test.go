@@ -87,25 +87,20 @@ func TestCompiledEstimatorsReusedAcrossGenerations(t *testing.T) {
 }
 
 // TestCompiledEstimatorsSurviveReloadAndRecovery: snapshots published by
-// Reload and by Open's recovery fallback also carry compiled estimators.
+// Reload and by OpenWAL also carry compiled estimators.
 func TestCompiledEstimatorsSurviveReloadAndRecovery(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "catalog.json")
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "catalog.json")
+	st := openAt(t, path, nil)
 	if _, err := st.Put(compiledTestEntry("orders", "key", 100)); err != nil {
 		t.Fatal(err)
 	}
+	checkpointed(t, st)
+	st.Close()
 
-	// A second store opening the same file compiles at load time.
-	st2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Reopening compiles the checkpoint's entries at load time.
+	st2 := openAt(t, path, nil)
 	if _, ok := st2.Snapshot().Compiled("orders", "key"); !ok {
-		t.Fatal("Open produced a snapshot without compiled estimators")
+		t.Fatal("OpenWAL produced a snapshot without compiled estimators")
 	}
 
 	// Reload publishes a freshly compiled snapshot.

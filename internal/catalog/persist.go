@@ -15,11 +15,13 @@ package catalog
 // json.Decoder reads exactly one value, so trailered files remain loadable
 // by plain stats.LoadFile too — the formats are mutually compatible.
 //
-// Writes follow the full crash-safety sequence: serialize to a temp file in
-// the target directory, fsync it, retain the previous generation as
-// <path>.prev, rename the temp file into place, and fsync the directory.
-// Recovery (Open) falls back to the .prev generation when the main file is
-// corrupt, truncated, or lost mid-rename.
+// The file is the WAL store's checkpoint (wal.go), so its trailer also
+// carries the log position it covers ("lsn=N"). Checkpoints follow the full
+// crash-safety sequence: serialize to a temp file in the target directory,
+// fsync it, retain the previous generation as <path>.prev, rename the temp
+// file into place, and fsync the directory. Recovery (OpenWAL) falls back to
+// the .prev generation when the main file is corrupt, truncated, or lost
+// mid-rename.
 
 import (
 	"bytes"
@@ -48,32 +50,29 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // PrevPath is the retained previous-generation backup for a catalog path.
 func PrevPath(path string) string { return path + ".prev" }
 
-// encodeSnapshot serializes a snapshot to the trailered on-disk format.
-func encodeSnapshot(snap *Snapshot) ([]byte, error) {
-	return encodeSnapshotLSN(snap, 0, false)
-}
-
-// encodeSnapshotLSN is encodeSnapshot with an optional lsn trailer field —
-// the WAL checkpoint form, pinning the log position the snapshot covers so
-// recovery replays only the frames past it. Legacy writes omit the field and
-// the formats stay mutually loadable.
-func encodeSnapshotLSN(snap *Snapshot, lsn uint64, withLSN bool) ([]byte, error) {
-	c, err := snap.Catalog()
-	if err != nil {
-		return nil, err
+// catalogJSON renders an entry set as the canonical catalog JSON document
+// (stats.Catalog.Save sorts keys and indents identically everywhere, so equal
+// entry sets render byte-identically on every node).
+func catalogJSON(entries map[string]*stats.IndexStats) ([]byte, error) {
+	c := stats.NewCatalog()
+	for _, e := range entries {
+		if err := c.Put(e); err != nil {
+			return nil, err
+		}
 	}
 	var buf bytes.Buffer
 	if err := c.Save(&buf); err != nil {
 		return nil, err
 	}
-	payload := buf.Len()
-	crc := crc32.Checksum(buf.Bytes()[:payload], crcTable)
-	if withLSN {
-		fmt.Fprintf(&buf, "%scrc32c=%08x bytes=%d lsn=%d\n", trailerPrefix, crc, payload, lsn)
-	} else {
-		fmt.Fprintf(&buf, "%scrc32c=%08x bytes=%d\n", trailerPrefix, crc, payload)
-	}
 	return buf.Bytes(), nil
+}
+
+// withTrailer appends the checksum trailer to a catalog JSON payload. extra
+// carries optional trailer fields: a checkpoint adds " lsn=N", pinning the
+// log position it covers so recovery replays only the frames past it.
+func withTrailer(payload []byte, extra string) []byte {
+	crc := crc32.Checksum(payload, crcTable)
+	return fmt.Appendf(payload, "%scrc32c=%08x bytes=%d%s\n", trailerPrefix, crc, len(payload), extra)
 }
 
 // verifyPayload validates the trailer (when present) and returns the JSON
@@ -118,104 +117,103 @@ func verifyPayload(data []byte) ([]byte, uint64, error) {
 	return payload, lsn, nil
 }
 
-// loadVerified reads path through fsys, checks the trailer, and parses the
-// payload as a stats catalog.
-func loadVerified(fsys faultfs.FS, path string) (*stats.Catalog, error) {
-	c, _, err := loadVerifiedLSN(fsys, path)
-	return c, err
+// checkpoint is a verified catalog file: its statistics, the WAL position
+// its trailer pins (0 for files without one), and the CRC32-C of its bytes,
+// which Reload compares to tell an out-of-process refresh from the store's
+// own checkpoint.
+type checkpoint struct {
+	cat *stats.Catalog // nil when no catalog file exists
+	lsn uint64
+	sum uint32
 }
 
-// loadVerifiedLSN is loadVerified plus the trailer's WAL position.
-func loadVerifiedLSN(fsys faultfs.FS, path string) (*stats.Catalog, uint64, error) {
+// loadVerified reads path through fsys, checks the trailer, and parses the
+// payload as a stats catalog.
+func loadVerified(fsys faultfs.FS, path string) (checkpoint, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
-		return nil, 0, err
+		return checkpoint{}, err
 	}
 	payload, lsn, err := verifyPayload(data)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%s: %w", path, err)
+		return checkpoint{}, fmt.Errorf("%s: %w", path, err)
 	}
 	c, err := stats.Load(bytes.NewReader(payload))
 	if err != nil {
-		return nil, 0, fmt.Errorf("%s: %w", path, err)
+		return checkpoint{}, fmt.Errorf("%s: %w", path, err)
 	}
-	return c, lsn, nil
+	return checkpoint{cat: c, lsn: lsn, sum: crc32.Checksum(data, crcTable)}, nil
 }
 
 // loadWithRecovery loads the catalog at path, falling back to the retained
 // previous generation when the main file is corrupt, truncated, or missing
-// after a crashed write. It returns (nil, false, nil) when neither file
+// after a crashed write. It returns a zero checkpoint when neither file
 // exists (a fresh store), and the main file's error when no fallback can
 // serve.
-func loadWithRecovery(fsys faultfs.FS, path string) (c *stats.Catalog, recovered bool, err error) {
-	c, _, recovered, err = loadWithRecoveryLSN(fsys, path)
-	return c, recovered, err
-}
-
-// loadWithRecoveryLSN is loadWithRecovery plus the served file's WAL position.
-func loadWithRecoveryLSN(fsys faultfs.FS, path string) (c *stats.Catalog, lsn uint64, recovered bool, err error) {
-	c, lsn, mainErr := loadVerifiedLSN(fsys, path)
+func loadWithRecovery(fsys faultfs.FS, path string) (ck checkpoint, recovered bool, err error) {
+	ck, mainErr := loadVerified(fsys, path)
 	if mainErr == nil {
-		return c, lsn, false, nil
+		return ck, false, nil
 	}
 	// Corrupt, truncated, or missing after a crashed write: adopt the
 	// retained previous generation when it verifies.
-	prev, prevLSN, prevErr := loadVerifiedLSN(fsys, PrevPath(path))
+	prev, prevErr := loadVerified(fsys, PrevPath(path))
 	if prevErr == nil {
-		return prev, prevLSN, true, nil
+		return prev, true, nil
 	}
 	if errors.Is(mainErr, os.ErrNotExist) && errors.Is(prevErr, os.ErrNotExist) {
-		return nil, 0, false, nil
+		return checkpoint{}, false, nil
 	}
-	return nil, 0, false, mainErr
+	return checkpoint{}, false, mainErr
 }
 
-// writeAtomicFS persists the snapshot crash-safely: temp file + fsync,
-// retain the previous generation as .prev, rename into place, fsync the
-// directory. Any failure leaves the previous on-disk generation loadable
-// (directly or via .prev recovery).
-func writeAtomicFS(fsys faultfs.FS, path string, snap *Snapshot) error {
-	return writeAtomicLSN(fsys, path, snap, 0, false)
-}
-
-// writeAtomicLSN is writeAtomicFS with the WAL-position trailer field — the
-// checkpoint writer.
-func writeAtomicLSN(fsys faultfs.FS, path string, snap *Snapshot, lsn uint64, withLSN bool) error {
-	data, err := encodeSnapshotLSN(snap, lsn, withLSN)
+// encodeCheckpoint renders snap as a checkpoint file covering the log up to
+// lsn.
+func encodeCheckpoint(snap *Snapshot, lsn uint64) ([]byte, error) {
+	payload, err := catalogJSON(snap.entries)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	return withTrailer(payload, fmt.Sprintf(" lsn=%d", lsn)), nil
+}
+
+// writeAtomicLSN persists a checkpoint's bytes crash-safely: temp file +
+// fsync, retain the previous generation as .prev, rename into place, fsync
+// the directory. Any failure leaves the previous on-disk generation loadable
+// (directly or via .prev recovery). placed reports whether data is now the
+// file at path, which stays true when only the directory fsync failed.
+func writeAtomicLSN(fsys faultfs.FS, path string, data []byte) (placed bool, err error) {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, ".catalog-*.tmp")
 	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
+		return false, fmt.Errorf("catalog: %w", err)
 	}
 	tmpName := tmp.Name()
 	defer fsys.Remove(tmpName) // no-op after a successful rename
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return fmt.Errorf("catalog: %w", err)
+		return false, fmt.Errorf("catalog: %w", err)
 	}
 	// fsync before rename: the rename must never publish bytes that are
 	// still only in the page cache.
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("catalog: fsync: %w", err)
+		return false, fmt.Errorf("catalog: fsync: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("catalog: %w", err)
+		return false, fmt.Errorf("catalog: %w", err)
 	}
 	// Retain the current generation before replacing it. A crash between
 	// the two renames leaves no main file, which recovery serves from
 	// .prev.
 	if err := fsys.Rename(path, PrevPath(path)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("catalog: retain previous generation: %w", err)
+		return false, fmt.Errorf("catalog: retain previous generation: %w", err)
 	}
 	if err := fsys.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("catalog: %w", err)
+		return false, fmt.Errorf("catalog: %w", err)
 	}
 	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("catalog: sync dir: %w", err)
+		return true, fmt.Errorf("catalog: sync dir: %w", err)
 	}
-	return nil
+	return true, nil
 }

@@ -12,20 +12,46 @@ import (
 	"epfis/internal/stats"
 )
 
-// openedWith builds a file-backed store holding the given generations of
-// writes, so the main file and .prev differ.
-func openedWith(t *testing.T, path string) *Store {
+// openAt opens the durable store at path (over fsys, or the real filesystem
+// when nil) and closes it when the test ends.
+func openAt(t testing.TB, path string, fsys faultfs.FS) *Store {
 	t.Helper()
-	st, err := Open(path)
+	if fsys == nil {
+		fsys = faultfs.OS()
+	}
+	st, err := OpenWALFS(path, WALOptions{CheckpointEvery: -1}, fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Put(entry("orders", "key", 500)); err != nil {
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// put installs entry(table, column, fmin) or fails the test.
+func put(t testing.TB, st *Store, table, column string, fmin int64) {
+	t.Helper()
+	if _, err := st.Put(entry(table, column, fmin)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Put(entry("lineitem", "partkey", 600)); err != nil {
+}
+
+// checkpointed forces a checkpoint or fails the test.
+func checkpointed(t testing.TB, st *Store) {
+	t.Helper()
+	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// openedWith builds a store whose two checkpoints differ: the main file
+// holds orders.key and lineitem.partkey, the retained .prev only orders.key.
+func openedWith(t *testing.T, path string) *Store {
+	t.Helper()
+	st := openAt(t, path, nil)
+	put(t, st, "orders", "key", 500)
+	checkpointed(t, st)
+	put(t, st, "lineitem", "partkey", 600)
+	checkpointed(t, st)
 	return st
 }
 
@@ -38,27 +64,23 @@ func TestWriteLeavesPrevGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if main.Len() != 2 {
-		t.Fatalf("main has %d entries", main.Len())
+	if main.cat.Len() != 2 {
+		t.Fatalf("main has %d entries", main.cat.Len())
 	}
 	prev, err := loadVerified(faultfs.OS(), PrevPath(path))
 	if err != nil {
 		t.Fatalf("no retained previous generation: %v", err)
 	}
-	if prev.Len() != 1 {
-		t.Fatalf("prev has %d entries, want 1", prev.Len())
+	if prev.cat.Len() != 1 {
+		t.Fatalf("prev has %d entries, want 1", prev.cat.Len())
 	}
 }
 
 func TestTrailerDetectsBitFlip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "catalog.json")
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Put(entry("orders", "key", 500)); err != nil {
-		t.Fatal(err)
-	}
+	st := openAt(t, path, nil)
+	put(t, st, "orders", "key", 500)
+	checkpointed(t, st)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -115,13 +137,14 @@ func TestOpenRecoversFromCorruptMain(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "catalog.json")
-			openedWith(t, path)
+			openedWith(t, path).Close()
 			tc.corrupt(t, path)
 
-			st, err := Open(path)
+			st, err := OpenWAL(path, WALOptions{})
 			if err != nil {
-				t.Fatalf("Open did not recover: %v", err)
+				t.Fatalf("OpenWAL did not recover: %v", err)
 			}
+			defer st.Close()
 			if !st.Recovered() {
 				t.Fatal("Recovered() = false after fallback")
 			}
@@ -142,22 +165,20 @@ func TestOpenRecoversFromCorruptMain(t *testing.T) {
 
 func TestOpenErrorsWhenMainAndPrevCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "catalog.json")
-	openedWith(t, path)
+	openedWith(t, path).Close()
 	for _, p := range []string{path, PrevPath(path)} {
 		if err := os.WriteFile(p, []byte("not a catalog"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Open(path); err == nil {
-		t.Fatal("Open accepted a catalog with both generations corrupt")
+	if st, err := OpenWAL(path, WALOptions{}); err == nil {
+		st.Close()
+		t.Fatal("OpenWAL accepted a catalog with both generations corrupt")
 	}
 }
 
 func TestOpenMissingBothStartsEmpty(t *testing.T) {
-	st, err := Open(filepath.Join(t.TempDir(), "catalog.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openAt(t, filepath.Join(t.TempDir(), "catalog.json"), nil)
 	if st.Len() != 0 || st.Recovered() {
 		t.Fatalf("fresh store: len=%d recovered=%v", st.Len(), st.Recovered())
 	}
@@ -172,13 +193,63 @@ func TestLegacyFileWithoutTrailerLoads(t *testing.T) {
 	if err := c.SaveFile(path); err != nil { // plain stats format, no trailer
 		t.Fatal(err)
 	}
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openAt(t, path, nil)
 	if st.Len() != 1 || st.Recovered() {
 		t.Fatalf("legacy load: len=%d recovered=%v", st.Len(), st.Recovered())
 	}
+}
+
+// TestRenameStoreDirectoryMigrates opens a directory written by the
+// rename-per-commit store of earlier releases (a trailered catalog.json
+// without an lsn field, its .prev, and no log): the WAL store must serve
+// exactly the main file's entries and keep them across further commits
+// and a restart.
+func TestRenameStoreDirectoryMigrates(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "catalog.json")
+	for _, name := range []string{"catalog.json", "catalog.json.prev"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "rename-store", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := stats.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsFile := func(st *Store, extra int) {
+		t.Helper()
+		if st.Recovered() || st.Len() != want.Len()+extra {
+			t.Fatalf("migrated store: len=%d recovered=%v, want len %d", st.Len(), st.Recovered(), want.Len()+extra)
+		}
+		for _, k := range want.Keys() {
+			w, _ := want.Get(splitKey(k))
+			got, err := st.Get(splitKey(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wp, _ := entryPayload(w)
+			gp, _ := entryPayload(got)
+			if !bytes.Equal(wp, gp) {
+				t.Fatalf("entry %s differs after migration:\n%s\nwant\n%s", k, gp, wp)
+			}
+		}
+	}
+
+	st, err := OpenWAL(path, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsFile(st, 0)
+	if _, err := st.Put(entry("fresh", "col", 700)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	re := openAt(t, path, nil)
+	sameAsFile(re, 1)
 }
 
 func TestTraileredFileLoadsWithPlainStatsLoader(t *testing.T) {
@@ -193,6 +264,10 @@ func TestTraileredFileLoadsWithPlainStatsLoader(t *testing.T) {
 	}
 }
 
+// TestCommitAbortsOnInjectedWriteFaults arms a persistent fault on each
+// write-path operation class. A commit either aborts whole — the published
+// view unchanged — or is acknowledged and durable; a checkpoint under the
+// fault fails and leaves the last good generation on disk.
 func TestCommitAbortsOnInjectedWriteFaults(t *testing.T) {
 	for _, op := range []faultfs.Op{
 		faultfs.OpCreate, faultfs.OpWrite, faultfs.OpSync,
@@ -201,31 +276,36 @@ func TestCommitAbortsOnInjectedWriteFaults(t *testing.T) {
 		t.Run(string(op), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "catalog.json")
 			inj := faultfs.NewInjector(faultfs.OS(), 1)
-			st, err := OpenFS(path, inj)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := st.Put(entry("orders", "key", 500)); err != nil {
-				t.Fatal(err)
-			}
+			st := openAt(t, path, inj)
+			put(t, st, "orders", "key", 500)
+			checkpointed(t, st)
 
 			inj.Add(faultfs.Rule{Op: op, Count: -1})
-			_, err = st.Put(entry("lineitem", "partkey", 600))
-			if !errors.Is(err, faultfs.ErrInjected) {
-				t.Fatalf("Put under %s fault = %v, want ErrInjected", op, err)
+			_, err := st.Put(entry("lineitem", "partkey", 600))
+			acked := err == nil
+			if !acked {
+				if !errors.Is(err, faultfs.ErrInjected) {
+					t.Fatalf("Put under %s fault = %v, want ErrInjected", op, err)
+				}
+				// In-memory view unchanged: the commit aborted whole.
+				if st.Len() != 1 || st.Generation() != 1 {
+					t.Fatalf("store mutated by failed commit: len=%d gen=%d", st.Len(), st.Generation())
+				}
 			}
-			// In-memory view unchanged: the commit aborted whole.
-			if st.Len() != 1 || st.Generation() != 1 {
-				t.Fatalf("store mutated by failed commit: len=%d gen=%d", st.Len(), st.Generation())
+			if err := st.Checkpoint(); !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("Checkpoint under %s fault = %v, want ErrInjected", op, err)
 			}
-			// On-disk state still serves the last good generation.
 			inj.Reset()
-			st2, err := Open(path)
-			if err != nil {
-				t.Fatalf("reopen after %s fault: %v", op, err)
-			}
+			st.Close()
+
+			// On-disk state still serves the last good generation, plus the
+			// acknowledged commit.
+			st2 := openAt(t, path, nil)
 			if _, err := st2.Get("orders", "key"); err != nil {
 				t.Fatalf("last good generation lost after %s fault: %v", op, err)
+			}
+			if _, err := st2.Get("lineitem", "partkey"); acked && err != nil {
+				t.Fatalf("acknowledged commit lost after %s fault: %v", op, err)
 			}
 		})
 	}
@@ -234,39 +314,38 @@ func TestCommitAbortsOnInjectedWriteFaults(t *testing.T) {
 func TestPartialWriteNeverPublishes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "catalog.json")
 	inj := faultfs.NewInjector(faultfs.OS(), 1)
-	st, err := OpenFS(path, inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Put(entry("orders", "key", 500)); err != nil {
-		t.Fatal(err)
-	}
+	st := openAt(t, path, inj)
+	put(t, st, "orders", "key", 500)
+	checkpointed(t, st)
+	put(t, st, "lineitem", "partkey", 600)
 	inj.Add(faultfs.Rule{Op: faultfs.OpWrite, Mode: faultfs.ModePartial})
-	if _, err := st.Put(entry("lineitem", "partkey", 600)); !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("torn write err = %v", err)
+	if err := st.Checkpoint(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("torn checkpoint write err = %v", err)
 	}
 	inj.Reset()
-	c, err := loadVerified(faultfs.OS(), path)
+	ck, err := loadVerified(faultfs.OS(), path)
 	if err != nil {
 		t.Fatalf("main file damaged by torn temp write: %v", err)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("main file has %d entries", c.Len())
+	if ck.cat.Len() != 1 {
+		t.Fatalf("main file has %d entries", ck.cat.Len())
+	}
+	// The commit the torn checkpoint missed is still durable in the log.
+	st.Close()
+	if _, err := openAt(t, path, nil).Get("lineitem", "partkey"); err != nil {
+		t.Fatalf("commit lost with the torn checkpoint: %v", err)
 	}
 }
 
 func TestFsyncHappensBeforeRename(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "catalog.json")
 	inj := faultfs.NewInjector(faultfs.OS(), 1)
-	st, err := OpenFS(path, inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Put(entry("orders", "key", 500)); err != nil {
-		t.Fatal(err)
-	}
+	st := openAt(t, path, inj)
+	put(t, st, "orders", "key", 500)
+	from := len(inj.Trace())
+	checkpointed(t, st)
 	var syncAt, renameAt, dirSyncAt int
-	for i, e := range inj.Trace() {
+	for i, e := range inj.Trace()[from:] {
 		op := strings.Fields(e)[0]
 		switch {
 		case op == "sync" && syncAt == 0:

@@ -5,10 +5,12 @@ package catalog
 // ExportSnapshot serializes the current snapshot in the exact trailered
 // on-disk format (payload JSON + checksum trailer), so a peer pulling the
 // stream gets end-to-end corruption detection for free: the same
-// verifyPayload that guards Open guards the network transfer. ImportSnapshot
-// is the receiving side — verify, parse, validate, then commit through the
-// normal commitLocked path, which recompiles estimators via core.Compile and
-// persists through the store's (possibly fault-injected) filesystem.
+// verifyPayload that guards OpenWAL guards the network transfer.
+// ImportSnapshot is the receiving side — verify, parse, validate, then
+// commit the verified payload as one replace frame, which recompiles
+// estimators via core.Compile and persists through the store's (possibly
+// fault-injected) filesystem. MergeSnapshot and MergeEntries fold streams in
+// as a union instead, computing it inside the commit's prepare step.
 //
 // ContentHash gives both sides a cheap content-addressed identity for
 // anti-entropy: it hashes the canonical JSON payload only (no trailer, no
@@ -17,8 +19,10 @@ package catalog
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"maps"
 
 	"epfis/internal/stats"
 )
@@ -28,40 +32,41 @@ import (
 // stream as-is; the embedded trailer lets the receiver verify integrity.
 func (st *Store) ExportSnapshot() ([]byte, uint64, error) {
 	snap := st.Snapshot()
-	data, err := encodeSnapshot(snap)
+	payload, err := catalogJSON(snap.entries)
 	if err != nil {
 		return nil, 0, err
 	}
-	return data, snap.gen, nil
+	return withTrailer(payload, ""), snap.gen, nil
+}
+
+// verifiedStream checks a trailered catalog stream and parses its payload.
+// Unlike file loading, a stream without a checksum trailer is rejected:
+// network transfers get no legacy grace.
+func verifiedStream(data []byte) ([]byte, *stats.Catalog, error) {
+	if !bytes.Contains(data, []byte(trailerPrefix)) {
+		return nil, nil, fmt.Errorf("%w: stream has no checksum trailer", ErrCorrupt)
+	}
+	payload, _, err := verifyPayload(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err := stats.Load(bytes.NewReader(payload))
+	if err != nil {
+		return nil, nil, err
+	}
+	return payload, c, nil
 }
 
 // ImportSnapshot verifies a trailered catalog stream (as produced by
 // ExportSnapshot), parses and validates the statistics, and swaps them in as
 // a new generation — recompiling estimators through the usual core.Compile
-// ingress path and persisting through the store's filesystem. Unlike file
-// loading, a stream without a checksum trailer is rejected: network
-// transfers get no legacy grace.
+// ingress path and persisting through the store's filesystem.
 func (st *Store) ImportSnapshot(data []byte) (uint64, error) {
-	if !bytes.Contains(data, []byte(trailerPrefix)) {
-		return 0, fmt.Errorf("%w: snapshot stream has no checksum trailer", ErrCorrupt)
-	}
-	payload, _, err := verifyPayload(data)
-	if err != nil {
-		return 0, err
-	}
-	c, err := stats.Load(bytes.NewReader(payload))
+	payload, c, err := verifiedStream(data)
 	if err != nil {
 		return 0, fmt.Errorf("catalog: import snapshot: %w", err)
 	}
-	next := map[string]*stats.IndexStats{}
-	for _, k := range c.Keys() {
-		e, err := c.Get(splitKey(k))
-		if err != nil {
-			return 0, err
-		}
-		next[k] = deepCopy(e)
-	}
-	return st.commitReplace(next)
+	return st.replaceAll(entriesOf(c), payload)
 }
 
 // MergeSnapshot is the partition-tolerant sibling of ImportSnapshot: it
@@ -72,31 +77,66 @@ func (st *Store) ImportSnapshot(data []byte) (uint64, error) {
 // anti-entropy); local-only keys are never deleted by a merge — deletions
 // propagate as explicit replicated mutations, not by absence from a peer's
 // snapshot. With an empty local store and a nil skip it degenerates to a
-// full adopt, which is the bootstrap/restart case.
+// full adopt, which is the bootstrap/restart case. A merge that changes no
+// key commits nothing and returns the current generation. skip runs under
+// the store's writer lock, atomically with the union: it must not call back
+// into the store.
 func (st *Store) MergeSnapshot(data []byte, skip func(key string) bool) (uint64, error) {
-	if !bytes.Contains(data, []byte(trailerPrefix)) {
-		return 0, fmt.Errorf("%w: snapshot stream has no checksum trailer", ErrCorrupt)
-	}
-	payload, _, err := verifyPayload(data)
-	if err != nil {
-		return 0, err
-	}
-	c, err := stats.Load(bytes.NewReader(payload))
+	_, c, err := verifiedStream(data)
 	if err != nil {
 		return 0, fmt.Errorf("catalog: merge snapshot: %w", err)
 	}
-	next := cloneEntries(st.Snapshot().entries)
-	for _, k := range c.Keys() {
-		if skip != nil && skip(k) {
-			continue
-		}
-		e, err := c.Get(splitKey(k))
+	return st.merge(entriesOf(c), skip)
+}
+
+// merge commits the union of incoming into the catalog. Skip and the union
+// are evaluated inside prepare, against the applied base, so a mutation that
+// commits while the merge is being set up is never overwritten by a stale
+// copy; each changed key is logged as one put frame. Entries are encoded
+// before the lock is taken — prepare only selects among the encodings — and
+// an incoming entry byte-identical to the published one is no change.
+func (st *Store) merge(incoming map[string]*stats.IndexStats, skip func(key string) bool) (uint64, error) {
+	keys := sortedKeys(incoming)
+	payloads := make(map[string][]byte, len(keys))
+	same := map[string]*stats.IndexStats{}
+	pub := st.Snapshot()
+	for _, k := range keys {
+		p, err := json.Marshal(incoming[k])
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("catalog: encode entry: %w", err)
 		}
-		next[k] = deepCopy(e)
+		payloads[k] = p
+		if cur, ok := pub.entries[k]; ok {
+			if q, err := json.Marshal(cur); err == nil && bytes.Equal(p, q) {
+				same[k] = cur
+			}
+		}
 	}
-	return st.commitReplace(next)
+	gen, err := st.commit(func(base *Snapshot) (map[string]*stats.IndexStats, []walFrame) {
+		var next map[string]*stats.IndexStats
+		var frames []walFrame
+		for _, k := range keys {
+			if cur, ok := same[k]; ok && base.entries[k] == cur {
+				continue
+			}
+			if skip != nil && skip(k) {
+				continue
+			}
+			if next == nil {
+				next = cloneEntries(base.entries)
+			}
+			next[k] = incoming[k]
+			frames = append(frames, walFrame{walFramePut, payloads[k]})
+		}
+		return next, frames
+	})
+	if err != nil {
+		return 0, err
+	}
+	if gen == 0 {
+		return st.Generation(), nil
+	}
+	return gen, nil
 }
 
 // ContentHash reports the CRC32-C of the canonical JSON payload of the
@@ -104,32 +144,19 @@ func (st *Store) MergeSnapshot(data []byte, skip func(key string) bool) (uint64,
 // computed at. Identical statistics hash identically on every node.
 func (st *Store) ContentHash() (string, uint64, error) {
 	snap := st.Snapshot()
-	c, err := snap.Catalog()
+	payload, err := catalogJSON(snap.entries)
 	if err != nil {
 		return "", 0, err
 	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		return "", 0, err
-	}
-	return fmt.Sprintf("crc32c:%08x", crc32.Checksum(buf.Bytes(), crcTable)), snap.gen, nil
+	return fmt.Sprintf("crc32c:%08x", crc32.Checksum(payload, crcTable)), snap.gen, nil
 }
 
 // entryPayload renders the canonical single-entry catalog JSON for e. The
-// rendering is deterministic (stats.Catalog.Save sorts keys and indents
-// identically everywhere), so two nodes holding the same entry produce
+// rendering is deterministic, so two nodes holding the same entry produce
 // byte-identical payloads — which is what makes per-entry CRCs comparable
 // across the wire.
 func entryPayload(e *stats.IndexStats) ([]byte, error) {
-	c := stats.NewCatalog()
-	if err := c.Put(e); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return catalogJSON(map[string]*stats.IndexStats{e.Key(): e})
 }
 
 // ExportEntry serializes one entry as a trailered single-entry catalog
@@ -146,10 +173,7 @@ func (st *Store) ExportEntry(key string) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	crc := crc32.Checksum(payload, crcTable)
-	buf := bytes.NewBuffer(payload)
-	fmt.Fprintf(buf, "%scrc32c=%08x bytes=%d\n", trailerPrefix, crc, len(payload))
-	return buf.Bytes(), snap.gen, nil
+	return withTrailer(payload, ""), snap.gen, nil
 }
 
 // EntryDigests reports, for every entry, the CRC32-C of its canonical
@@ -174,39 +198,16 @@ func (st *Store) EntryDigests() (map[string]uint32, uint64, error) {
 // ExportEntry) into the current entry set as a UNION, committing one
 // generation for the whole batch. Semantics mirror MergeSnapshot: stream
 // entries win except for keys the skip callback claims, and local-only keys
-// are never deleted. An empty batch (or one fully skipped) commits nothing
-// and returns the current generation.
+// are never deleted. An empty batch (or one that changes no key) commits
+// nothing and returns the current generation.
 func (st *Store) MergeEntries(streams [][]byte, skip func(key string) bool) (uint64, error) {
 	incoming := map[string]*stats.IndexStats{}
 	for _, data := range streams {
-		if !bytes.Contains(data, []byte(trailerPrefix)) {
-			return 0, fmt.Errorf("%w: entry stream has no checksum trailer", ErrCorrupt)
-		}
-		payload, _, err := verifyPayload(data)
-		if err != nil {
-			return 0, err
-		}
-		c, err := stats.Load(bytes.NewReader(payload))
+		_, c, err := verifiedStream(data)
 		if err != nil {
 			return 0, fmt.Errorf("catalog: merge entries: %w", err)
 		}
-		for _, k := range c.Keys() {
-			if skip != nil && skip(k) {
-				continue
-			}
-			e, err := c.Get(splitKey(k))
-			if err != nil {
-				return 0, err
-			}
-			incoming[k] = deepCopy(e)
-		}
+		maps.Copy(incoming, entriesOf(c))
 	}
-	if len(incoming) == 0 {
-		return st.Generation(), nil
-	}
-	next := cloneEntries(st.Snapshot().entries)
-	for k, e := range incoming {
-		next[k] = e
-	}
-	return st.commitReplace(next)
+	return st.merge(incoming, skip)
 }

@@ -1,22 +1,16 @@
 package catalog
 
-// Write-ahead-logged persistence with group commit.
-//
-// The legacy persistence path (persist.go) serializes the WHOLE catalog and
-// walks the full temp+fsync+rename+dirsync sequence on every mutation — crash
-// safe, but each Put pays two fsyncs and a rewrite of every entry. The WAL
-// mode trades that for an append-only log:
+// Write-ahead-logged persistence with group commit: the one durable mode.
 //
 //	catalog.json          checkpoint: trailered snapshot + "lsn=N" field
 //	catalog.json.wal      CRC32-C framed mutation log
 //
-// Each mutation appends one frame and the commit is a single fsync of the
+// Each mutation appends its frames and the commit is a single fsync of the
 // log — and that fsync is GROUP commit: while one writer's fsync is in
 // flight, later writers enqueue their frames and park; whichever of them
 // wakes first becomes the next leader and flushes the whole accumulated
 // batch under one fsync. Under concurrency, N mutations cost ~1 fsync plus N
-// tiny appends instead of N full-snapshot rewrites (the bench-ingest suite
-// pins the ratio at >= 10x).
+// tiny appends instead of N full-snapshot rewrites.
 //
 // The log is an internal/journal log, which defines the frame, its torn-tail
 // repair and its atomic rewrite. Each frame body here is
@@ -25,31 +19,38 @@ package catalog
 //
 // Types: header (log identity, written at creation/rotation), put (one
 // entry's JSON), delete (the key), replace (a full catalog JSON). LSNs
-// increase by one per logged mutation and never repeat within a
-// log+checkpoint lineage.
+// increase by one per logged frame and never repeat within a log+checkpoint
+// lineage. Put and Delete log one frame, ReplaceAll, ImportSnapshot and an
+// adopting Reload one replace frame, and a merge one put frame per key it
+// changes. A merge's frames go out in one append, but a torn append can
+// keep a prefix of them: each is a valid union step on its own, and
+// anti-entropy pulls the rest again.
 //
 // Durability protocol. Two snapshot pointers exist: Store.applied (newest
 // BUILT state, possibly unfsynced) and Store.snap (published to readers,
-// always durable). A mutation builds its snapshot against applied, assigns
-// the next LSN, enqueues a ticket, and releases the store lock before any
-// I/O — that's what lets commits overlap. The group leader appends the
-// batch's frames, fsyncs once, and only then publishes the batch's last
-// snapshot. On an append/fsync failure the leader fails every queued ticket
-// (their snapshots stack on doomed state), rolls applied back to the
-// published snapshot and rewinds the LSN; the journal truncates the failed
-// append away before the next leader writes.
+// always durable). A mutation's prepare derives its snapshot from applied
+// under the store lock, commit assigns the frames' LSNs, enqueues a ticket,
+// and releases the lock before any I/O — that's what lets commits overlap.
+// The group leader appends the batch's frames, fsyncs once, and only then
+// publishes the batch's last snapshot. On an append/fsync failure the leader
+// fails every queued ticket (their snapshots stack on doomed state), rolls
+// applied back to the published snapshot and rewinds the LSN; the journal
+// truncates the failed append away before the next leader writes.
 // Readers therefore never observe a generation that could be lost to a
 // crash, and the crash-recovery fuzz (wal_test.go) holds that any torn tail
-// recovers to exactly the last fsynced commit.
+// recovers to exactly the last fsynced commit. The in-memory store (NewStore)
+// runs the same protocol with no log: its leader writes and fsyncs nothing.
 //
-// Checkpointing. Every CheckpointEvery commits (and on Save/Checkpoint), the
-// leader writes the current published snapshot through the legacy atomic-
-// rename path with an "lsn=N" trailer field, then rotates the log: the
-// journal atomically rewrites it to a header frame plus the live ingest
-// records. Recovery loads the checkpoint (falling back to
-// .prev as always) and replays only frames with lsn > checkpoint lsn, so
-// every crash window — mid-append, mid-checkpoint, mid-rotation — lands on a
-// consistent committed state.
+// Checkpointing. Every CheckpointEvery commits (and on Checkpoint), the
+// leader writes the current published snapshot through the atomic-rename
+// writer with an "lsn=N" trailer field, then rotates the log: the journal
+// atomically rewrites it to a header frame plus the live ingest records.
+// Recovery loads the checkpoint (falling back to .prev as always) and
+// replays only frames with lsn > checkpoint lsn, so every crash window —
+// mid-append, mid-checkpoint, mid-rotation — lands on a consistent
+// committed state. A catalog file with no WAL beside it (a file written by
+// `epfis gen`, or by the rename-per-commit store of earlier releases) opens
+// as a checkpoint at lsn 0 with an empty log.
 
 import (
 	"bytes"
@@ -57,8 +58,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	"hash/crc32"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"epfis/internal/faultfs"
@@ -66,7 +69,7 @@ import (
 	"epfis/internal/stats"
 )
 
-// ErrClosed reports a mutation on a closed WAL-backed store.
+// ErrClosed reports a mutation on a closed store.
 var ErrClosed = errors.New("catalog: store is closed")
 
 // WAL frame types.
@@ -100,7 +103,7 @@ type WALOptions struct {
 	Dir string
 	// CheckpointEvery is the number of committed mutations between automatic
 	// checkpoints. Zero means DefaultCheckpointEvery; negative disables
-	// automatic checkpoints (Save/Checkpoint still work).
+	// automatic checkpoints (Checkpoint still works).
 	CheckpointEvery int
 }
 
@@ -115,7 +118,8 @@ func (o WALOptions) WALPath(catalogPath string) string {
 
 // wal is the log state. lsn is guarded by Store.mu; log and durableLSN are
 // touched only by the current group-commit leader (leadership hand-off
-// through walQueue orders the accesses).
+// through walQueue orders the accesses). The in-memory store's wal has no
+// log and no path.
 type wal struct {
 	log  *journal.Log
 	path string
@@ -126,12 +130,26 @@ type wal struct {
 	ingest [][]byte // ingest-journal payloads found during recovery
 }
 
-// walTicket is one enqueued mutation awaiting durability.
+// walFrame is one log record a mutation's prepare asks commit to write; the
+// LSN is assigned when the frame is enqueued.
+type walFrame struct {
+	ftype   byte
+	payload []byte
+}
+
+// prepareFunc derives the next entry set from base — the newest applied
+// snapshot — and names the frames that log the change. It runs under
+// Store.mu, so it sees every mutation enqueued before it and none after.
+// A nil entry set aborts the commit: nothing is logged or published.
+type prepareFunc func(base *Snapshot) (map[string]*stats.IndexStats, []walFrame)
+
+// walTicket is one enqueued commit awaiting durability. Ingest-journal
+// tickets carry no snapshot.
 type walTicket struct {
-	body []byte
-	snap *Snapshot
-	done bool
-	err  error
+	bodies [][]byte
+	snap   *Snapshot
+	done   bool
+	err    error
 }
 
 // walQueue is the group-commit rendezvous.
@@ -142,12 +160,11 @@ type walQueue struct {
 	syncing bool // a leader is writing/fsyncing (or holding for rotation)
 }
 
-// OpenWAL opens (or creates) a WAL-backed store for the catalog at path:
-// append-only group-committed mutations with periodic checkpoints, instead
-// of a full atomic rewrite per mutation. Recovery loads the checkpoint —
-// with the same .prev fallback as Open — and replays committed log frames
-// past it; a torn tail (crash mid-append) is truncated at the last complete
-// frame.
+// OpenWAL opens (or creates) the durable store for the catalog at path:
+// append-only group-committed mutations with periodic checkpoints. Recovery
+// loads the checkpoint — falling back to the retained .prev generation —
+// and replays committed log frames past it; a torn tail (crash mid-append)
+// is truncated at the last complete frame. Close the store when done.
 func OpenWAL(path string, opts WALOptions) (*Store, error) {
 	return OpenWALFS(path, opts, faultfs.OS())
 }
@@ -155,32 +172,17 @@ func OpenWAL(path string, opts WALOptions) (*Store, error) {
 // OpenWALFS is OpenWAL over an explicit filesystem — the injection point for
 // fault-injected chaos tests and the EPFIS_FAULTS knob.
 func OpenWALFS(path string, opts WALOptions, fsys faultfs.FS) (*Store, error) {
-	st := NewStore()
-	st.path = path
-	st.fs = fsys
-	st.checkpointEvery = opts.CheckpointEvery
-	if st.checkpointEvery == 0 {
-		st.checkpointEvery = DefaultCheckpointEvery
-	}
-	st.walQ.cond = sync.NewCond(&st.walQ.mu)
-
-	c, snapLSN, recovered, err := loadWithRecoveryLSN(fsys, path)
+	ck, recovered, err := loadWithRecovery(fsys, path)
 	if err != nil {
 		return nil, err
 	}
-	st.recovered = recovered
 	entries := map[string]*stats.IndexStats{}
 	gen := uint64(0)
-	if c != nil {
-		for _, k := range c.Keys() {
-			if e, err := c.Get(splitKey(k)); err == nil {
-				entries[k] = e
-			}
-		}
-		gen = 1
+	if ck.cat != nil {
+		entries, gen = entriesOf(ck.cat), 1
 	}
 
-	r := &walReplay{snapLSN: snapLSN, maxLSN: snapLSN, entries: entries}
+	r := &walReplay{snapLSN: ck.lsn, maxLSN: ck.lsn, entries: entries}
 	w := &wal{path: opts.WALPath(path)}
 	if w.log, err = journal.Open(fsys, w.path, r.accept); err != nil {
 		return nil, fmt.Errorf("catalog: open wal: %w", err)
@@ -195,20 +197,17 @@ func OpenWALFS(path string, opts WALOptions, fsys faultfs.FS) (*Store, error) {
 	gen += uint64(r.replayed)
 	w.lsn, w.durableLSN, w.ingest = r.maxLSN, r.maxLSN, r.ingest
 
-	snap := newSnapshot(gen, entries, nil)
-	st.snap.Store(snap)
-	st.applied = snap
-	st.wal = w
+	every := opts.CheckpointEvery
+	if every == 0 {
+		every = DefaultCheckpointEvery
+	}
+	st := newStore(newSnapshot(gen, entries, nil), w, every)
+	st.path, st.fs, st.recovered, st.ckptSum = path, fsys, recovered, ck.sum
 	return st, nil
 }
 
-// WALPath reports the store's log file, or "" outside WAL mode.
-func (st *Store) WALPath() string {
-	if st.wal == nil {
-		return ""
-	}
-	return st.wal.path
-}
+// WALPath reports the store's log file, or "" for an in-memory store.
+func (st *Store) WALPath() string { return st.wal.path }
 
 // walReplay folds a log's committed frames past the checkpoint LSN into
 // entries and collects its ingest records; accept is the journal's scan
@@ -270,11 +269,7 @@ func applyWALFrame(entries map[string]*stats.IndexStats, ftype byte, payload []b
 			return false
 		}
 		clear(entries)
-		for _, k := range c.Keys() {
-			if e, err := c.Get(splitKey(k)); err == nil {
-				entries[k] = e
-			}
-		}
+		maps.Copy(entries, entriesOf(c))
 		return true
 	default:
 		return false
@@ -289,147 +284,79 @@ func walBody(ftype byte, lsn uint64, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// appliedLocked is the snapshot the next mutation builds on. Callers hold
-// st.mu.
-func (st *Store) appliedLocked() *Snapshot {
-	if st.applied != nil {
-		return st.applied
-	}
-	return st.snap.Load()
-}
-
-// walPut commits one entry install through the log.
-func (st *Store) walPut(cp *stats.IndexStats) (uint64, error) {
-	payload, err := json.Marshal(cp)
-	if err != nil {
-		return 0, fmt.Errorf("catalog: encode entry: %w", err)
-	}
-	return st.walCommit(walFramePut, payload, func(base *Snapshot) (map[string]*stats.IndexStats, bool) {
-		next := cloneEntries(base.entries)
-		next[cp.Key()] = cp
-		return next, true
-	})
-}
-
-// walDelete commits one entry removal through the log. A missing key is a
-// no-op that neither logs nor bumps the generation.
-func (st *Store) walDelete(key string) (bool, uint64, error) {
-	gen, err := st.walCommit(walFrameDelete, []byte(key), func(base *Snapshot) (map[string]*stats.IndexStats, bool) {
-		if _, ok := base.entries[key]; !ok {
-			return nil, false
-		}
-		next := cloneEntries(base.entries)
-		delete(next, key)
-		return next, true
-	})
-	if err != nil {
-		return false, 0, err
-	}
-	if gen == 0 { // aborted: key absent
-		return false, st.Generation(), nil
-	}
-	return true, gen, nil
-}
-
-// walReplaceAll commits a full entry-set swap through the log.
-func (st *Store) walReplaceAll(next map[string]*stats.IndexStats) (uint64, error) {
-	payload, err := encodeEntriesJSON(next)
-	if err != nil {
+// commit is the one mutation entry point: prepare derives the next entry set
+// from the applied snapshot, and the commit rides (or drives) a group commit
+// until its frames are durable and its snapshot is published. An aborted
+// prepare returns (0, nil).
+func (st *Store) commit(prepare prepareFunc) (uint64, error) {
+	t, err := st.enqueue(prepare)
+	if t == nil {
 		return 0, err
 	}
-	return st.walCommit(walFrameReplace, payload, func(*Snapshot) (map[string]*stats.IndexStats, bool) {
-		return next, true
-	})
-}
-
-// walReload re-reads checkpoint + committed log from disk and republishes the
-// result as a replace mutation.
-func (st *Store) walReload() (uint64, error) {
-	c, snapLSN, _, err := loadWithRecoveryLSN(st.fs, st.path)
-	if err != nil {
-		return 0, fmt.Errorf("catalog: reload: %w", err)
-	}
-	entries := map[string]*stats.IndexStats{}
-	if c != nil {
-		for _, k := range c.Keys() {
-			if e, err := c.Get(splitKey(k)); err == nil {
-				entries[k] = e
-			}
-		}
-	}
-	data, err := st.fs.ReadFile(st.wal.path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return 0, fmt.Errorf("catalog: reload: %w", err)
-	}
-	journal.Scan(data, (&walReplay{snapLSN: snapLSN, entries: entries}).accept)
-	return st.walReplaceAll(entries)
-}
-
-// encodeEntriesJSON renders an entry set as the canonical catalog JSON.
-func encodeEntriesJSON(entries map[string]*stats.IndexStats) ([]byte, error) {
-	c := stats.NewCatalog()
-	for _, k := range sortedKeys(entries) {
-		if err := c.Put(entries[k]); err != nil {
-			return nil, err
-		}
-	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// walCommit is the mutation front door: build the next snapshot against
-// applied state, enqueue the frame, and ride (or drive) a group commit.
-// prepare returns ok=false to abort without logging (e.g. deleting a missing
-// key); walCommit then returns (0, nil).
-func (st *Store) walCommit(ftype byte, payload []byte, prepare func(*Snapshot) (map[string]*stats.IndexStats, bool)) (uint64, error) {
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		return 0, ErrClosed
-	}
-	base := st.appliedLocked()
-	entries, ok := prepare(base)
-	if !ok {
-		st.mu.Unlock()
-		return 0, nil
-	}
-	next := newSnapshot(base.gen+1, entries, base)
-	st.wal.lsn++
-	t := &walTicket{body: walBody(ftype, st.wal.lsn, payload), snap: next}
-	st.applied = next
-	st.walQ.mu.Lock()
-	st.walQ.queue = append(st.walQ.queue, t)
-	st.walQ.mu.Unlock()
-	st.mu.Unlock()
-
 	if err := st.groupCommit(t); err != nil {
 		return 0, err
 	}
-	return next.gen, nil
+	return t.snap.gen, nil
+}
+
+// commitAsLeader is commit for a caller that already holds group-commit
+// leadership (see lead): it flushes the batch itself instead of waiting.
+func (st *Store) commitAsLeader(prepare prepareFunc) (uint64, error) {
+	t, err := st.enqueue(prepare)
+	if t == nil {
+		return 0, err
+	}
+	st.flush()
+	if t.err != nil {
+		return 0, t.err
+	}
+	return t.snap.gen, nil
+}
+
+// enqueue runs prepare against applied state under st.mu, stacks the result
+// as the new applied snapshot, and queues its frames. A nil ticket means the
+// store is closed (with ErrClosed) or prepare aborted.
+func (st *Store) enqueue(prepare prepareFunc) (*walTicket, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.closed {
+		return nil, ErrClosed
+	}
+	base := st.applied
+	entries, frames := prepare(base)
+	if entries == nil {
+		return nil, nil
+	}
+	t := &walTicket{snap: newSnapshot(base.gen+1, entries, base)}
+	for _, f := range frames {
+		st.wal.lsn++
+		t.bodies = append(t.bodies, walBody(f.ftype, st.wal.lsn, f.payload))
+	}
+	st.applied = t.snap
+	st.walQ.push(t)
+	return t, nil
+}
+
+func (q *walQueue) push(t *walTicket) {
+	q.mu.Lock()
+	q.queue = append(q.queue, t)
+	q.mu.Unlock()
 }
 
 // AppendIngest journals one opaque ingest record through the same
 // group-committed log as catalog mutations: when it returns nil the record
 // is fsynced and will be handed back by IngestRecords after a crash. It
 // publishes no snapshot and bumps no generation — durability is the whole
-// contract. Only valid on WAL-backed stores.
+// contract, which an in-memory store meets vacuously.
 func (st *Store) AppendIngest(payload []byte) error {
-	if st.wal == nil {
-		return errors.New("catalog: not a WAL-backed store")
-	}
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
 		return ErrClosed
 	}
 	st.wal.lsn++
-	t := &walTicket{body: walBody(walFrameIngest, st.wal.lsn, payload)}
-	st.walQ.mu.Lock()
-	st.walQ.queue = append(st.walQ.queue, t)
-	st.walQ.mu.Unlock()
+	t := &walTicket{bodies: [][]byte{walBody(walFrameIngest, st.wal.lsn, payload)}}
+	st.walQ.push(t)
 	st.mu.Unlock()
 	return st.groupCommit(t)
 }
@@ -437,16 +364,11 @@ func (st *Store) AppendIngest(payload []byte) error {
 // IngestRecords returns the ingest-journal payloads recovered when the
 // store was opened, oldest first. The service replays them through its
 // accumulators at startup; records acknowledged before a crash are never
-// lost. Nil outside WAL mode or when the log held none.
+// lost. Nil for an in-memory store or when the log held none.
 func (st *Store) IngestRecords() [][]byte {
-	if st.wal == nil {
-		return nil
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([][]byte, len(st.wal.ingest))
-	copy(out, st.wal.ingest)
-	return out
+	return slices.Clone(st.wal.ingest)
 }
 
 // SetIngestSource registers the callback checkpoints use to learn which
@@ -460,10 +382,9 @@ func (st *Store) SetIngestSource(fn func() [][]byte) {
 }
 
 // groupCommit waits for the ticket to become durable, becoming the flush
-// leader if nobody else is. The leader drains the whole queue, writes every
-// frame, fsyncs ONCE, publishes the batch's final snapshot (success) or
-// rolls back (failure), then wakes everyone — including the writers that
-// enqueued during its fsync, the first of which leads the next batch.
+// leader if nobody else is. The leader flushes the whole queue, then wakes
+// everyone — including the writers that enqueued during its fsync, the
+// first of which leads the next batch.
 func (st *Store) groupCommit(t *walTicket) error {
 	q := &st.walQ
 	q.mu.Lock()
@@ -471,48 +392,83 @@ func (st *Store) groupCommit(t *walTicket) error {
 		q.cond.Wait()
 	}
 	if t.done {
-		err := t.err
 		q.mu.Unlock()
-		return err
+		return t.err
 	}
 	q.syncing = true
+	q.mu.Unlock()
+
+	if st.flush() {
+		st.maybeCheckpoint()
+	}
+	q.release()
+	return t.err
+}
+
+// lead runs fn as the group-commit leader, once the current leader is done:
+// no batch is written and no checkpoint runs while fn does.
+func (st *Store) lead(fn func() error) error {
+	q := &st.walQ
+	q.mu.Lock()
+	for q.syncing {
+		q.cond.Wait()
+	}
+	q.syncing = true
+	q.mu.Unlock()
+	defer q.release()
+	return fn()
+}
+
+// release hands leadership on and wakes every waiter.
+func (q *walQueue) release() {
+	q.mu.Lock()
+	q.syncing = false
+	q.cond.Broadcast()
+	q.mu.Unlock()
+}
+
+// flush drains the queue, writes every frame with one append and one fsync,
+// publishes the batch's final snapshot (success) or rolls back (failure),
+// and marks the tickets done. It reports whether the batch became durable.
+// Leader only.
+func (st *Store) flush() bool {
+	q := &st.walQ
+	q.mu.Lock()
 	batch := q.queue
 	q.queue = nil
 	q.mu.Unlock()
 
 	err := st.wal.writeBatch(batch)
-	var failed []*walTicket
 	if err != nil {
-		failed = st.rollback(batch, err)
+		batch = append(batch, st.rollback(batch, err)...)
 	} else {
 		st.publish(batch)
-		st.maybeCheckpoint()
 	}
-
 	q.mu.Lock()
-	for _, bt := range batch {
-		bt.done = true
+	for _, t := range batch {
+		t.done = true
 	}
-	for _, bt := range failed {
-		bt.done = true
-	}
-	q.syncing = false
-	q.cond.Broadcast()
 	q.mu.Unlock()
-	return t.err
+	return err == nil
 }
 
-// writeBatch appends every ticket's frame with one write and one fsync.
+// writeBatch appends every ticket's frames with one write and one fsync.
+// The in-memory store has no log: its batches are durable as they stand.
 // Leader only.
 func (w *wal) writeBatch(batch []*walTicket) error {
-	bodies := make([][]byte, len(batch))
-	for i, t := range batch {
-		bodies[i] = t.body
+	var bodies [][]byte
+	for _, t := range batch {
+		bodies = append(bodies, t.bodies...)
 	}
-	if err := w.log.Append(bodies...); err != nil {
-		return fmt.Errorf("catalog: wal append: %w", err)
+	if len(bodies) == 0 {
+		return nil
 	}
-	w.durableLSN = binary.LittleEndian.Uint64(batch[len(batch)-1].body[1:])
+	if w.log != nil {
+		if err := w.log.Append(bodies...); err != nil {
+			return fmt.Errorf("catalog: wal append: %w", err)
+		}
+	}
+	w.durableLSN = binary.LittleEndian.Uint64(bodies[len(bodies)-1][1:])
 	return nil
 }
 
@@ -574,40 +530,34 @@ func (st *Store) maybeCheckpoint() {
 }
 
 // Checkpoint writes the current published snapshot as the checkpoint file
-// and rotates the log. It runs as (or serialized with) a group-commit
-// leader, so it never races an append.
+// and rotates the log. It runs as a group-commit leader, so it never races
+// an append.
 func (st *Store) Checkpoint() error {
-	if st.wal == nil {
-		return errors.New("catalog: not a WAL-backed store")
+	if st.path == "" {
+		return ErrNoPath
 	}
-	q := &st.walQ
-	q.mu.Lock()
-	for q.syncing {
-		q.cond.Wait()
-	}
-	q.syncing = true
-	q.mu.Unlock()
-
-	err := st.checkpointAsLeader()
-
-	q.mu.Lock()
-	q.syncing = false
-	q.cond.Broadcast()
-	q.mu.Unlock()
-	return err
+	return st.lead(st.checkpointAsLeader)
 }
 
 // checkpointAsLeader does the checkpoint + rotation. Caller holds
 // leadership (walQ.syncing).
 func (st *Store) checkpointAsLeader() error {
 	w := st.wal
-	snap := st.snap.Load()
-	if err := writeAtomicLSN(st.fs, st.path, snap, w.durableLSN, true); err != nil {
+	data, err := encodeCheckpoint(st.snap.Load(), w.durableLSN)
+	if err != nil {
 		return err
 	}
+	placed, err := writeAtomicLSN(st.fs, st.path, data)
 	st.mu.Lock()
+	if placed {
+		// Reload must know these bytes for the store's own.
+		st.ckptSum = crc32.Checksum(data, crcTable)
+	}
 	src := st.ingestSrc
 	st.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	var carry [][]byte
 	if src != nil {
 		carry = src()
@@ -628,31 +578,19 @@ func (st *Store) checkpointAsLeader() error {
 	return nil
 }
 
-// Close flushes leadership, closes the log handle, and fails subsequent
-// mutations with ErrClosed. Reads keep serving the last published snapshot.
-// Close is a no-op on non-WAL stores.
+// Close waits out the current leader, closes the log handle, and fails
+// subsequent mutations with ErrClosed. Reads keep serving the last
+// published snapshot.
 func (st *Store) Close() error {
-	if st.wal == nil {
-		return nil
-	}
-	q := &st.walQ
-	q.mu.Lock()
-	for q.syncing {
-		q.cond.Wait()
-	}
-	q.syncing = true
-	q.mu.Unlock()
-
-	st.mu.Lock()
-	st.closed = true
-	st.mu.Unlock()
-	err := st.wal.log.Close()
-
-	q.mu.Lock()
-	q.syncing = false
-	q.cond.Broadcast()
-	q.mu.Unlock()
-	return err
+	return st.lead(func() error {
+		st.mu.Lock()
+		st.closed = true
+		st.mu.Unlock()
+		if st.wal.log == nil {
+			return nil
+		}
+		return st.wal.log.Close()
+	})
 }
 
 // WALStats is a point-in-time view of the log state, for observability and
@@ -663,11 +601,8 @@ type WALStats struct {
 	SinceCheckpoint int    // commits since the last checkpoint
 }
 
-// WALStatsNow reports the current log state; zero outside WAL mode.
+// WALStatsNow reports the current log state.
 func (st *Store) WALStatsNow() WALStats {
-	if st.wal == nil {
-		return WALStats{}
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return WALStats{

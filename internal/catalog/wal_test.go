@@ -181,11 +181,11 @@ func TestWALCheckpointRotation(t *testing.T) {
 	if _, err := re.Put(entry("t", "late", 250)); err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Save(); err != nil {
+	if err := re.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if ws := re.WALStatsNow(); ws.SinceCheckpoint != 0 {
-		t.Fatalf("SinceCheckpoint = %d after Save", ws.SinceCheckpoint)
+		t.Fatalf("SinceCheckpoint = %d after Checkpoint", ws.SinceCheckpoint)
 	}
 }
 

@@ -150,6 +150,10 @@ type Node struct {
 	// are memory-only.
 	keyMu     sync.Mutex
 	keyStamps map[string]Stamp
+	// inflight counts, per key, mutations between BeginKeyMutation and
+	// EndKeyMutation: committed (or committing) to the store, stamp not
+	// yet recorded.
+	inflight map[string]int
 
 	// Cached catalog content hash, keyed by generation.
 	hashMu  sync.Mutex
@@ -366,14 +370,38 @@ func (n *Node) RecordKeyStamp(key string, st Stamp) {
 	n.keyMu.Unlock()
 }
 
-// HasKeyStamp reports whether a key has a tracked mutation stamp — the skip
-// predicate for merge-based snapshot pulls: stamp-tracked keys converge
-// through replicated mutations and hinted handoff, not bulk anti-entropy,
-// so a pulled snapshot must not clobber (or resurrect) them.
+// HasKeyStamp reports whether a key has a tracked mutation stamp, or a
+// mutation in flight toward one — the skip predicate for merge-based
+// snapshot pulls: stamp-tracked keys converge through replicated mutations
+// and hinted handoff, not bulk anti-entropy, so a pulled snapshot must not
+// clobber (or resurrect) them.
 func (n *Node) HasKeyStamp(key string) bool {
 	n.keyMu.Lock()
 	defer n.keyMu.Unlock()
-	return n.keyStamps[key] != Stamp{}
+	return n.inflight[key] > 0 || n.keyStamps[key] != Stamp{}
+}
+
+// BeginKeyMutation marks a mutation of key in flight until the matching
+// EndKeyMutation. Call it before the store commit and end it after
+// RecordKeyStamp (or after a failed commit that records nothing): a merge
+// whose prepare runs between the commit and the stamp then still skips the
+// key instead of overwriting the fresh value with a peer's copy.
+func (n *Node) BeginKeyMutation(key string) {
+	n.keyMu.Lock()
+	if n.inflight == nil {
+		n.inflight = map[string]int{}
+	}
+	n.inflight[key]++
+	n.keyMu.Unlock()
+}
+
+// EndKeyMutation clears one BeginKeyMutation mark.
+func (n *Node) EndKeyMutation(key string) {
+	n.keyMu.Lock()
+	if n.inflight[key]--; n.inflight[key] <= 0 {
+		delete(n.inflight, key)
+	}
+	n.keyMu.Unlock()
 }
 
 // KeyStamps copies the tracked stamp table — the compaction source for the

@@ -19,15 +19,18 @@ import (
 	"epfis/internal/resilience"
 )
 
-// newChaosServer builds a service over a disk-backed store whose filesystem
+// newChaosServer builds a service over a durable store whose filesystem
 // runs through a fault injector, seeded with the standard "orders.key" index.
+// Checkpointing every other commit puts the atomic-rename writer, not just
+// the log append, under the faults.
 func newChaosServer(t *testing.T) (*Server, *catalog.Store, *faultfs.Injector, float64) {
 	t.Helper()
 	inj := faultfs.NewInjector(faultfs.OS(), 42)
-	store, err := catalog.OpenFS(filepath.Join(t.TempDir(), "catalog.json"), inj)
+	store, err := catalog.OpenWALFS(filepath.Join(t.TempDir(), "catalog.json"), catalog.WALOptions{CheckpointEvery: 2}, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { store.Close() })
 	orders := fitStats(t, "orders", "key", 1)
 	if _, err := store.Put(orders); err != nil {
 		t.Fatal(err)

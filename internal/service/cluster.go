@@ -437,10 +437,12 @@ func (s *Server) clusterDelete(w http.ResponseWriter, r *http.Request, table, co
 	}
 	s.clusterMu.Lock()
 	epoch := s.cluster.BumpEpoch()
+	s.cluster.BeginKeyMutation(key)
 	ok, gen, err := s.store.Delete(table, column)
 	if err == nil && ok {
 		s.recordStamp(key, cluster.Stamp{Epoch: epoch, Origin: s.cluster.SelfID()})
 	}
+	s.cluster.EndKeyMutation(key)
 	s.clusterMu.Unlock()
 	commit(err != nil)
 	if err != nil {
@@ -489,10 +491,12 @@ func (s *Server) applyReplicated(w http.ResponseWriter, key string, st cluster.S
 		writeJSON(w, http.StatusOK, map[string]any{"key": key, "skipped": true, "epoch": st.Epoch})
 		return
 	}
+	s.cluster.BeginKeyMutation(key)
 	gen, err := apply()
 	if err == nil {
 		s.recordStamp(key, st)
 	}
+	s.cluster.EndKeyMutation(key)
 	s.clusterMu.Unlock()
 	commit(err != nil)
 	if err != nil {
@@ -513,10 +517,12 @@ func (s *Server) applyLocal(key string, apply func() (uint64, error)) (gen, epoc
 	}
 	s.clusterMu.Lock()
 	epoch = s.cluster.BumpEpoch()
+	s.cluster.BeginKeyMutation(key)
 	gen, err = apply()
 	if err == nil {
 		s.recordStamp(key, cluster.Stamp{Epoch: epoch, Origin: s.cluster.SelfID()})
 	}
+	s.cluster.EndKeyMutation(key)
 	s.clusterMu.Unlock()
 	commit(err != nil)
 	if err != nil {

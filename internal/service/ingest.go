@@ -571,6 +571,12 @@ func (g *ingester) evaluate(key string, st *ingestState) {
 	}
 	var gen uint64
 	if err == nil {
+		if g.s.cluster != nil {
+			// In flight until replicateRepublish records the stamp, so a
+			// merge in between skips the key instead of overwriting it.
+			g.s.cluster.BeginKeyMutation(key)
+			defer g.s.cluster.EndKeyMutation(key)
+		}
 		gen, err = g.s.store.Put(entry)
 	}
 	if err != nil {
