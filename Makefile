@@ -96,13 +96,15 @@ perfbench:
 # Same-host A/B of the end-to-end benchmark: BASE's committed files against
 # the working tree, PAIRS interleaved pairs per workload (base first on odd
 # pairs), medians, base IQR and a verdict per metric from BENCHMARK.json's
-# bounds. WORKLOADS is a comma-separated subset (default: all).
+# bounds. WORKLOADS is a comma-separated subset (default: all). TRACE=1 adds a
+# traced run per side to every pair and prints per-layer medians, no verdict.
 PAIRS ?= 4
 SEED ?= 1
 WORKLOADS ?=
+TRACE ?= 0
 perfbench-ab:
-	@test -n "$(BASE)" || { echo "usage: make perfbench-ab BASE=<rev> [PAIRS=4] [SEED=1] [WORKLOADS=a,b]"; exit 2; }
-	$(GO) run ./cmd/epfis-perfab -base $(BASE) -pairs $(PAIRS) -seed $(SEED) -workloads "$(WORKLOADS)"
+	@test -n "$(BASE)" || { echo "usage: make perfbench-ab BASE=<rev> [PAIRS=4] [SEED=1] [WORKLOADS=a,b] [TRACE=1]"; exit 2; }
+	$(GO) run ./cmd/epfis-perfab -base $(BASE) -pairs $(PAIRS) -seed $(SEED) -workloads "$(WORKLOADS)" -trace=$(TRACE)
 
 # One-iteration pass over the perf-relevant benchmarks, as run in CI.
 bench-smoke:

@@ -2,7 +2,7 @@
 // declared in BENCHMARK.json, between a base revision and the working tree,
 // from the repository root:
 //
-//	go run ./cmd/epfis-perfab -base <rev> [-pairs 4] [-workloads offline-fit,serve-mix] [-seed 1]
+//	go run ./cmd/epfis-perfab -base <rev> [-pairs 4] [-workloads offline-fit,serve-mix] [-seed 1] [-trace]
 //
 // It extracts the base revision's committed files under .bench_build/ab-base
 // and runs the benchmark command there and in the working tree alternately,
@@ -19,8 +19,15 @@
 //	worse       otherwise, when head's median is worse by more than the bound
 //	ok          within the bound
 //
-// The extracted tree is removed on exit. `make perfbench-ab BASE=<rev>` runs
-// it.
+// With -trace, every pair also makes one traced run (--trace 1) per side,
+// in the same order, and each workload's table is followed by the medians
+// of the per-layer metrics BENCHMARK.json declares, with their change and
+// no verdict: they explain an end-to-end change, they do not gate one.
+// Metrics that read 0 on both sides, layers the workload does not use, are
+// left out.
+//
+// The extracted tree is removed on exit. `make perfbench-ab BASE=<rev>
+// [TRACE=1]` runs it.
 package main
 
 import (
@@ -50,13 +57,14 @@ type spec struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
 	EndToEnd []metricSpec `json:"end_to_end"`
+	PerLayer []metricSpec `json:"per_layer"`
 }
 
 type metricSpec struct {
 	Name   string  `json:"name"`
 	Unit   string  `json:"unit"`
 	Better string  `json:"better"` // "higher" or "lower"
-	Bound  float64 `json:"bound"`  // largest tolerated worsening, as a share of the base median
+	Bound  float64 `json:"bound"`  // largest tolerated worsening, as a share of the base median; end-to-end only
 }
 
 // result is the JSON object a benchmark run prints on its last line.
@@ -76,13 +84,14 @@ func main() {
 	pairs := flag.Int("pairs", 4, "base/head run pairs per workload")
 	workloads := flag.String("workloads", "", "comma-separated workloads (default: every workload in BENCHMARK.json)")
 	seed := flag.Int64("seed", 1, "workload seed passed to every run")
+	trace := flag.Bool("trace", false, "also make a traced run per side in every pair and print per-layer medians")
 	flag.Parse()
 	if *base == "" || *pairs < 1 {
-		fmt.Fprintln(os.Stderr, "usage: epfis-perfab -base <rev> [-pairs n] [-workloads a,b] [-seed n]")
+		fmt.Fprintln(os.Stderr, "usage: epfis-perfab -base <rev> [-pairs n] [-workloads a,b] [-seed n] [-trace]")
 		os.Exit(2)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	err := run(ctx, *base, *pairs, *workloads, *seed)
+	err := run(ctx, *base, *pairs, *workloads, *seed, *trace)
 	stop()
 	if rmErr := os.RemoveAll(baseDir); err == nil {
 		err = rmErr
@@ -93,7 +102,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, base string, pairs int, workloads string, seed int64) error {
+func run(ctx context.Context, base string, pairs int, workloads string, seed int64, trace bool) error {
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		return fmt.Errorf("run from the repository root: %w", err)
@@ -117,33 +126,52 @@ func run(ctx context.Context, base string, pairs int, workloads string, seed int
 	}
 	fmt.Printf("A/B: base %s (%s) vs head %s (working tree); seed %d, %d pairs, %gs runs\n",
 		base, gitOut("rev-parse", "--short", base), gitOut("describe", "--always", "--dirty"), seed, pairs, sp.RunSeconds)
+	modes := []bool{false}
+	if trace {
+		modes = append(modes, true)
+	}
 	for _, w := range names {
-		var baseRuns, headRuns []result
+		var plain, traced sides
 		for p := 1; p <= pairs; p++ {
 			order := []string{"base", "head"}
 			if p%2 == 0 {
 				order[0], order[1] = order[1], order[0]
 			}
-			for _, side := range order {
-				dir := "."
-				if side == "base" {
-					dir = baseDir
-				}
-				fmt.Fprintf(os.Stderr, "%s pair %d/%d: %s\n", w, p, pairs, side)
-				res, err := runOnce(ctx, dir, sp, w, seed)
-				if err != nil {
-					return fmt.Errorf("%s %s run %d: %w", w, side, p, err)
-				}
-				if side == "base" {
-					baseRuns = append(baseRuns, res)
-				} else {
-					headRuns = append(headRuns, res)
+			for _, tr := range modes {
+				for _, side := range order {
+					dir, runs, label := ".", &plain, ""
+					if side == "base" {
+						dir = baseDir
+					}
+					if tr {
+						runs, label = &traced, " (traced)"
+					}
+					fmt.Fprintf(os.Stderr, "%s pair %d/%d: %s%s\n", w, p, pairs, side, label)
+					res, err := runOnce(ctx, dir, sp, w, seed, tr)
+					if err != nil {
+						return fmt.Errorf("%s %s%s run %d: %w", w, side, label, p, err)
+					}
+					runs.add(side, res)
 				}
 			}
 		}
-		report(os.Stdout, w, sp.EndToEnd, baseRuns, headRuns)
+		report(os.Stdout, w, sp.EndToEnd, plain.base, plain.head)
+		if trace {
+			reportLayers(os.Stdout, sp.PerLayer, traced.base, traced.head)
+		}
 	}
 	return nil
+}
+
+// sides holds one workload's results, one per pair on each side.
+type sides struct{ base, head []result }
+
+func (s *sides) add(side string, res result) {
+	if side == "base" {
+		s.base = append(s.base, res)
+	} else {
+		s.head = append(s.head, res)
+	}
 }
 
 // extract writes rev's committed files into dir, replacing what was there.
@@ -177,11 +205,12 @@ func gitOut(args ...string) string {
 	return strings.TrimSpace(string(out))
 }
 
-// runOnce runs the benchmark command once in dir and parses its last line.
-func runOnce(ctx context.Context, dir string, sp spec, workload string, seed int64) (result, error) {
+// runOnce runs the benchmark command once in dir, traced or not, and parses
+// its last line.
+func runOnce(ctx context.Context, dir string, sp spec, workload string, seed int64, traced bool) (result, error) {
 	args := append(append([]string(nil), sp.Command[1:]...),
 		"--workload", workload, "--seed", strconv.FormatInt(seed, 10),
-		"--seconds", strconv.FormatFloat(sp.RunSeconds, 'g', -1, 64), "--trace", "0")
+		"--seconds", strconv.FormatFloat(sp.RunSeconds, 'g', -1, 64), "--trace", traceArg(traced))
 	cmd := exec.CommandContext(ctx, sp.Command[0], args...)
 	cmd.Dir = dir
 	var out bytes.Buffer
@@ -191,6 +220,14 @@ func runOnce(ctx context.Context, dir string, sp spec, workload string, seed int
 		return result{}, err
 	}
 	return lastResult(out.Bytes())
+}
+
+// traceArg is the benchmark's --trace value.
+func traceArg(traced bool) string {
+	if traced {
+		return "1"
+	}
+	return "0"
 }
 
 // lastResult parses the JSON object on the last non-empty line of out.
@@ -218,6 +255,30 @@ func report(w io.Writer, workload string, metrics []metricSpec, base, head []res
 		v, wins, iqr := verdict(m, b, h)
 		fmt.Fprintf(w, "  %-18s %14.6g %14.6g %+7.1f%% %8.1f%% %3d/%-2d  %s\n",
 			m.Name+" ("+m.Unit+")", bm, hm, 100*(hm-bm)/bm, 100*iqr/bm, wins, len(b), v)
+	}
+}
+
+// reportLayers prints the traced runs' per-layer medians under a workload's
+// table, without a verdict, leaving out metrics both sides read as 0.
+func reportLayers(w io.Writer, metrics []metricSpec, base, head []result) {
+	fmt.Fprintf(w, "  per layer (traced: base %s, head %s)\n", outcome(base), outcome(head))
+	fmt.Fprintf(w, "  %-36s %14s %14s %8s\n", "metric", "base median", "head median", "change")
+	for _, m := range metrics {
+		b, okB := values(base, m.Name)
+		h, okH := values(head, m.Name)
+		if !okB || !okH {
+			continue
+		}
+		_, bm, _ := quartiles(b)
+		_, hm, _ := quartiles(h)
+		if bm == 0 && hm == 0 {
+			continue
+		}
+		change := "n/a"
+		if bm != 0 {
+			change = fmt.Sprintf("%+7.1f%%", 100*(hm-bm)/bm)
+		}
+		fmt.Fprintf(w, "  %-36s %14.6g %14.6g %8s\n", m.Name+" ("+m.Unit+")", bm, hm, change)
 	}
 }
 

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -56,5 +58,59 @@ func TestLastResult(t *testing.T) {
 	}
 	if _, err := lastResult([]byte("# no result line\n")); err == nil || !strings.Contains(err.Error(), "last output line") {
 		t.Errorf("missing result line: err = %v", err)
+	}
+}
+
+func TestSpecPerLayer(t *testing.T) {
+	raw := `{"command":["bash","run.sh"],"run_seconds":20,
+		"end_to_end":[{"name":"primary_per_s","unit":"1/s","better":"higher","bound":0.25}],
+		"per_layer":[{"name":"lrusim.measure_ns_per_ref","unit":"ns","better":"lower"}]}`
+	var sp spec
+	if err := json.Unmarshal([]byte(raw), &sp); err != nil {
+		t.Fatal(err)
+	}
+	if len(sp.PerLayer) != 1 || sp.PerLayer[0] != (metricSpec{Name: "lrusim.measure_ns_per_ref", Unit: "ns", Better: "lower"}) {
+		t.Errorf("per_layer parsed as %+v", sp.PerLayer)
+	}
+	if traceArg(true) != "1" || traceArg(false) != "0" {
+		t.Errorf("traceArg = %q, %q", traceArg(true), traceArg(false))
+	}
+}
+
+func TestReportLayers(t *testing.T) {
+	// A traced run's last line carries the per-layer set; the table gives
+	// each metric's medians and change, no verdict, and drops the metrics
+	// both sides read as 0.
+	parse := func(measure, feed float64) result {
+		line := fmt.Sprintf(`{"correct":true,"attempted":4,"failed":0,"metrics":{`+
+			`"lrusim.measure_ns_per_ref":{"value":%g,"unit":"ns"},`+
+			`"lrusim.feed_ns_per_ref":{"value":%g,"unit":"ns"},`+
+			`"catalog.fsyncs":{"value":0,"unit":"count"}}}`, measure, feed)
+		res, err := lastResult([]byte("# lrusim.measure_ns_per_ref\n" + line + "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	base := []result{parse(20, 0), parse(22, 0), parse(21, 0)}
+	head := []result{parse(10, 0), parse(11, 0), parse(9, 3)}
+	metrics := []metricSpec{
+		{Name: "lrusim.measure_ns_per_ref", Unit: "ns", Better: "lower"},
+		{Name: "lrusim.feed_ns_per_ref", Unit: "ns", Better: "lower"},
+		{Name: "catalog.fsyncs", Unit: "count", Better: "lower"},
+	}
+	var out strings.Builder
+	reportLayers(&out, metrics, base, head)
+	got := out.String()
+	for _, want := range []string{"correct 3/3 runs", "lrusim.measure_ns_per_ref (ns)", "21", "10", "-52.4%"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("per-layer table lacks %q:\n%s", want, got)
+		}
+	}
+	// feed's base median is 0 and its head median 0 too (two of three runs).
+	for _, absent := range []string{"catalog.fsyncs", "lrusim.feed_ns_per_ref", "better", "worse", "ok"} {
+		if strings.Contains(got, absent) {
+			t.Errorf("per-layer table has %q:\n%s", absent, got)
+		}
 	}
 }

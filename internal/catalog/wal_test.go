@@ -310,6 +310,33 @@ func TestChaosWALAppendAndFsyncFailures(t *testing.T) {
 	}
 }
 
+func TestWALCloseDropsFailedCommit(t *testing.T) {
+	// A commit whose WAL fsync failed was reported as failed, so Close
+	// followed by OpenWAL must not bring it back, even though its whole
+	// frame reached the log before the fsync failed.
+	inj := faultfs.NewInjector(faultfs.OS(), 1)
+	st, path := walFixture(t, WALOptions{}, inj)
+	if _, err := st.Put(entry("t", "base", 101)); err != nil {
+		t.Fatal(err)
+	}
+	inj.Add(faultfs.Rule{Op: faultfs.OpSync, Path: ".wal", Nth: 1})
+	if _, err := st.Put(entry("t", "doomed", 102)); err == nil {
+		t.Fatal("Put under an injected fsync fault succeeded")
+	}
+	want := stateOf(st.Snapshot())
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	re, err := OpenWAL(path, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := stateOf(re.Snapshot()); !statesEqual(got, want) {
+		t.Fatalf("reopen after a failed commit and Close: %v, want %v", got, want)
+	}
+}
+
 func TestChaosWALCheckpointFailure(t *testing.T) {
 	// A failing checkpoint (rename of the snapshot) must not lose commits:
 	// they are durable in the log regardless.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"epfis/internal/datagen"
 	"epfis/internal/lrusim"
 	"epfis/internal/stats"
 	"epfis/internal/storage"
@@ -494,4 +495,47 @@ func TestLRUFitSpacingAndFitterVariants(t *testing.T) {
 			t.Errorf("variant %+v invalid: %v", opt, err)
 		}
 	}
+}
+
+func TestEstIOEquationOneJump(t *testing.T) {
+	// Equation 1 switches its correction on at φ = B/T ≥ 3σ, and nothing
+	// phases it in: one more buffer page at the switch raises the estimate,
+	// although by LRU's inclusion property the true fetch count cannot rise
+	// with B. This is the paper's formula, kept as it is (EXPERIMENTS.md,
+	// "Equation 1's jump"); the test pins where the jump sits and that it
+	// is one. σ = 1/8 keeps 3σ exact in floating point, so the switch falls
+	// exactly on B = 3σT.
+	ds, err := datagen.GenerateDataset(datagen.Config{Name: "jump", N: 100_000, I: 2_000, R: 20, K: 0.05, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := Meta{Table: "jump", Column: "key", T: ds.T, N: int64(len(ds.Keys)), I: 2_000}
+	st := fitted(t, ds.Trace(), meta, Options{})
+	const sigma = 0.125
+	b := int64(3 * sigma * float64(st.T))
+	if float64(b) != 3*sigma*float64(st.T) {
+		t.Fatalf("3σT = %g is not a whole page count", 3*sigma*float64(st.T))
+	}
+	before, err := EstIO(st, Input{B: b - 1, Sigma: sigma, S: 1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at, err := EstIO(st, Input{B: b, Sigma: sigma, S: 1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Nu != 0 || at.Nu != 1 {
+		t.Fatalf("ν at B = %d, %d: %d, %d; want 0, 1", b-1, b, before.Nu, at.Nu)
+	}
+	if before.F != before.Base {
+		t.Errorf("B = %d: F = %g, want the uncorrected σ·PF_B = %g", b-1, before.F, before.Base)
+	}
+	// One page moves PF_B by at most one curve slope, far less than the
+	// correction the switch adds.
+	if at.Correction <= 0 || at.F-before.F < 0.9*at.Correction {
+		t.Errorf("F(%d) = %g, F(%d) = %g: want a jump of about the correction %g",
+			b-1, before.F, b, at.F, at.Correction)
+	}
+	t.Logf("T = %d, C = %.4f: F(%d) = %.1f, F(%d) = %.1f (+%.0f%%)",
+		st.T, st.C, b-1, before.F, b, at.F, 100*(at.F-before.F)/before.F)
 }

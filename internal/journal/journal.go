@@ -15,10 +15,10 @@
 //
 // Durability: Append writes its frames with one write and makes them
 // durable with one fsync. When either fails, the bytes past the last
-// durable offset may be torn; the next Append truncates them away before it
-// writes. Rewrite replaces the whole log atomically (temp file, fsync,
-// rename, directory fsync), so a crash or a failed step leaves either the
-// old log or the new one, whole. Open fsyncs the directory when it creates
+// durable offset may be torn; the next Append or Close truncates them away.
+// Rewrite replaces the whole log atomically (temp file, fsync, rename,
+// directory fsync), so a crash or a failed step leaves either the old log
+// or the new one, whole. Open fsyncs the directory when it creates
 // the file, so a new log's directory entry is as durable as its first
 // Append.
 package journal
@@ -144,18 +144,17 @@ func (l *Log) Append(bodies ...[]byte) error {
 	return nil
 }
 
-// reopen truncates the file back to its durable length — discarding a
-// failed append's possibly torn bytes — and opens it for append.
+// reopen closes the file — Close discards a failed append's possibly torn
+// bytes — and opens it for append.
 func (l *Log) reopen() error {
-	l.Close()
-	if err := l.fs.Truncate(l.path, l.durable); err != nil {
-		return fmt.Errorf("journal: repair %s: %w", l.path, err)
+	if err := l.Close(); l.torn { // the truncation failed
+		return err
 	}
 	f, err := l.fs.OpenAppend(l.path)
 	if err != nil {
 		return fmt.Errorf("journal: repair %s: %w", l.path, err)
 	}
-	l.f, l.torn = f, false
+	l.f = f
 	return nil
 }
 
@@ -192,9 +191,10 @@ func (l *Log) Rewrite(bodies [][]byte) error {
 	}
 	syncErr := l.fs.SyncDir(dir)
 	// The old handle points at the unlinked file; if a step below fails,
-	// the next Append reopens the new one.
-	l.Close()
+	// the next Append reopens the new one. The new file is whole, so Close
+	// must not cut it back to the old durable length.
 	l.durable, l.torn = int64(len(buf)), false
+	l.Close()
 	if syncErr != nil {
 		return fmt.Errorf("journal: rewrite %s: sync dir: %w", l.path, syncErr)
 	}
@@ -206,13 +206,22 @@ func (l *Log) Rewrite(bodies [][]byte) error {
 	return nil
 }
 
-// Close releases the file handle. A later Append reopens the file.
+// Close releases the file handle. After a failed Append it also truncates
+// the file back to its durable length, so the failed append's frames — whole
+// ones too, when only the fsync failed — are not read back by the next Open.
+// A later Append reopens the file, retrying a truncation that failed.
 func (l *Log) Close() error {
-	if l.f == nil {
-		return nil
+	var err error
+	if l.f != nil {
+		err = l.f.Close()
+		l.f = nil
 	}
-	err := l.f.Close()
-	l.f = nil
+	if l.torn {
+		if terr := l.fs.Truncate(l.path, l.durable); terr != nil {
+			return fmt.Errorf("journal: repair %s: %w", l.path, terr)
+		}
+		l.torn = false
+	}
 	return err
 }
 

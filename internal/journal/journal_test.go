@@ -192,6 +192,64 @@ func TestAppendRepairsFailedAppend(t *testing.T) {
 	}
 }
 
+func TestCloseCutsFailedAppend(t *testing.T) {
+	// A failed Append is not durable, so a clean Close and Open must not
+	// read it back — not even when its frame reached the file whole and
+	// only the fsync failed — and no Append need come between to repair it.
+	for _, rule := range []faultfs.Rule{
+		{Op: faultfs.OpWrite, Nth: 2, Mode: faultfs.ModePartial},
+		{Op: faultfs.OpSync, Nth: 2},
+	} {
+		t.Run(fmt.Sprintf("%s-%s", rule.Op, rule.Mode), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "torn.log")
+			inj := faultfs.NewInjector(faultfs.OS(), 1)
+			inj.Add(rule)
+			l, _ := openAll(t, inj, path)
+			if err := l.Append([]byte("a")); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Append([]byte("bbbbbbbb")); !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("faulted append err = %v", err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() != int64(frameMeta+1) {
+				t.Fatalf("file after close: %v, %v; want %d bytes", fi, err, frameMeta+1)
+			}
+			_, got := openAll(t, faultfs.OS(), path)
+			if want := [][]byte{[]byte("a")}; !equalBodies(got, want) {
+				t.Fatalf("recovered %q, want %q", got, want)
+			}
+		})
+	}
+	t.Run("truncate-fails", func(t *testing.T) {
+		// A Close whose cut fails says so, and the next Append retries it.
+		path := filepath.Join(t.TempDir(), "torn.log")
+		inj := faultfs.NewInjector(faultfs.OS(), 1)
+		inj.Add(faultfs.Rule{Op: faultfs.OpSync, Nth: 2})
+		inj.Add(faultfs.Rule{Op: faultfs.OpTruncate, Nth: 1})
+		l, _ := openAll(t, inj, path)
+		if err := l.Append([]byte("a")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append([]byte("bbbbbbbb")); !errors.Is(err, faultfs.ErrInjected) {
+			t.Fatalf("faulted append err = %v", err)
+		}
+		if err := l.Close(); !errors.Is(err, faultfs.ErrInjected) {
+			t.Fatalf("close with a failing cut: err = %v", err)
+		}
+		if err := l.Append([]byte("c")); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		_, got := openAll(t, faultfs.OS(), path)
+		if want := [][]byte{[]byte("a"), []byte("c")}; !equalBodies(got, want) {
+			t.Fatalf("recovered %q, want %q", got, want)
+		}
+	})
+}
+
 func TestRewriteFaults(t *testing.T) {
 	// Fail each step of Rewrite in turn. The file must hold either the old
 	// contents or the new, whole, and the log must keep taking appends onto

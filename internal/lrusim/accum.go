@@ -180,7 +180,16 @@ func (a *Accum) feed(t Trace, rec []reuse) {
 // markers have been retired. Every non-first reference within b keeps the
 // distance b already recorded (its reuse window is entirely inside b), so
 // b's histogram merges wholesale.
-func (a *Accum) Merge(b *Accum) {
+func (a *Accum) Merge(b *Accum) { a.merge(b, nil) }
+
+// merge is Merge that, when rec is non-nil, also patches b's records: rec
+// holds what feed recorded for b's references (len(rec) == b.n), with every
+// prev already in concatenated positions. b's first sights are its prev == -1
+// records, in the order of b.pages, so one cursor walks them beside the
+// fix-up, and each that re-references a page of a gets a's last position of
+// the page and the distance the fix-up counts. Afterwards rec is what one
+// feed of the concatenation would have recorded for b's references.
+func (a *Accum) merge(b *Accum, rec []reuse) {
 	if b.n == 0 {
 		return
 	}
@@ -204,16 +213,25 @@ func (a *Accum) Merge(b *Accum) {
 	}
 	// First-sight pages of b, in order: fix up the cold misses that are
 	// re-references in the concatenation, retire superseded a-markers, and
-	// plant each page's merged marker at its last-b position.
+	// plant each page's merged marker at its last-b position. With rec, j
+	// steps to the record of b's r-th first sight.
+	j := 0
 	for r, pg := range b.pages {
+		for rec != nil && rec[j].prev != -1 {
+			j++
+		}
 		if i, inA := a.lookup(pg); inA {
 			ip := int(a.lastPos[i])
-			after := a.fenRange(ip+1, oldN-1)
-			a.count(r + after + 1)
+			d := r + a.fenRange(ip+1, oldN-1) + 1
+			a.count(d)
+			if rec != nil {
+				rec[j] = reuse{prev: int32(ip), dist: int32(d)}
+			}
 			a.fenAdd(ip+1, -1)
 			mp := oldN + int(b.lastPos[r])
 			a.lastPos[i] = int32(mp)
 			a.fenAdd(mp+1, 1)
+			j++
 			continue
 		}
 		id := a.assign(pg, end)
@@ -221,6 +239,7 @@ func (a *Accum) Merge(b *Accum) {
 		mp := oldN + int(b.lastPos[r])
 		a.lastPos[id] = int32(mp)
 		a.fenAdd(mp+1, 1)
+		j++
 	}
 	a.n = end
 }

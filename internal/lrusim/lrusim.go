@@ -22,19 +22,23 @@
 // first touches need Merge's fix-up and the curve is the serial pass's, bit
 // for bit.
 //
-// Windows records the same pass. A reference whose previous reference to its
-// page lies inside a window [lo, hi) of the trace has the same stack distance
-// in the window as in the whole trace, and every other reference in the
-// window is a cold miss there. So one pass over the whole trace yields the
-// exact fetch curve of every window by a linear filter. This is how the
-// evaluation's partial scans are measured.
+// Windows records the same pass, split the same way: each chunk records its
+// references' previous positions and stack distances into its own part of
+// the index, and Merge's fix-up patches the records of the first touches it
+// resolves. A reference whose previous reference to its page lies inside a
+// window [lo, hi) of the trace has the same stack distance in the window as
+// in the whole trace, and every other reference in the window is a cold miss
+// there. So one pass over the whole trace yields the exact fetch curve of
+// every window by a linear filter, which any number of goroutines may read
+// at once. This is how the evaluation's partial scans are measured.
 //
 // DirectFetches (one LRU pool of one size) and ClockFetches (the clock
 // policy, which has no stack property) simulate a pool directly. Property
 // tests in this package check Accum and the split Analyze against a
 // move-to-front list oracle and DirectFetches, the window curves against a
-// separate pass over each sliced trace, and the curves against the real LRU
-// buffer pool in internal/buffer.
+// separate pass over each sliced trace, the split window index against one
+// serial pass, and the curves against the real LRU buffer pool in
+// internal/buffer.
 package lrusim
 
 import (
@@ -146,10 +150,10 @@ func (c *FetchCurve) MinBufferForFullCaching() int {
 // accumulator's structures without holding one of their own.
 var accumPool = sync.Pool{New: func() any { return NewAccum() }}
 
-// minChunkRefs is the shortest chunk Analyze feeds on a goroutine of its
-// own. Shorter chunks leave little for the handoff and the merge to save: on
-// a 2-vCPU Xeon, an 8192-reference trace ran ~40% faster as two chunks than
-// serially, a 7072-reference one only ~15%.
+// minChunkRefs is the shortest chunk Analyze and NewWindows feed on a
+// goroutine of its own. Shorter chunks leave little for the handoff and the
+// merge to save: on a 2-vCPU Xeon, an 8192-reference trace ran ~40% faster
+// as two chunks than serially, a 7072-reference one only ~15%.
 const minChunkRefs = 4096
 
 // Analyze computes the trace's fetch curve in one stack pass. A trace of at
@@ -162,21 +166,27 @@ const minChunkRefs = 4096
 // Accum and allocates only the curve and its array. Analyze is safe for
 // concurrent use.
 func Analyze(t Trace) *FetchCurve {
-	a := analyzeParts(t, min(runtime.GOMAXPROCS(0), len(t)/minChunkRefs))
+	a := analyzeParts(t, nil, splitParts(t))
 	c := a.Curve()
 	accumPool.Put(a)
 	return c
 }
 
+// splitParts is the number of chunks Analyze and NewWindows cut t into.
+func splitParts(t Trace) int { return min(runtime.GOMAXPROCS(0), len(t)/minChunkRefs) }
+
 // analyzeParts feeds t into a pooled Accum as parts contiguous chunks, the
 // first on the calling goroutine and each other one on its own, then merges
-// them in trace order. parts <= 1 is the serial pass. The caller puts the
-// returned Accum back in accumPool.
-func analyzeParts(t Trace, parts int) *Accum {
+// them in trace order. parts <= 1 is the serial pass. When rec is non-nil
+// (len(rec) == len(t)) it receives what one feed of t would record there:
+// each chunk records into its own sub-slice, shifts its positions by the
+// chunk's start, and merge patches the first sights it fixes up. The caller
+// puts the returned Accum back in accumPool.
+func analyzeParts(t Trace, rec []reuse, parts int) *Accum {
 	a := accumPool.Get().(*Accum)
 	a.Reset()
 	if parts <= 1 {
-		a.Feed(t)
+		a.feed(t, rec)
 		return a
 	}
 	rest := make([]*Accum, parts-1)
@@ -185,19 +195,34 @@ func analyzeParts(t Trace, parts int) *Accum {
 	for k := range rest {
 		go func() {
 			defer wg.Done()
+			lo, hi := (k+1)*len(t)/parts, (k+2)*len(t)/parts
 			b := accumPool.Get().(*Accum)
 			b.Reset()
-			b.Feed(t[(k+1)*len(t)/parts : (k+2)*len(t)/parts])
+			cr := recSpan(rec, lo, hi)
+			b.feed(t[lo:hi], cr)
+			for i := range cr {
+				if cr[i].prev != -1 {
+					cr[i].prev += int32(lo)
+				}
+			}
 			rest[k] = b
 		}()
 	}
-	a.Feed(t[:len(t)/parts])
+	a.feed(t[:len(t)/parts], recSpan(rec, 0, len(t)/parts))
 	wg.Wait()
-	for _, b := range rest {
-		a.Merge(b)
+	for k, b := range rest {
+		a.merge(b, recSpan(rec, (k+1)*len(t)/parts, (k+2)*len(t)/parts))
 		accumPool.Put(b)
 	}
 	return a
+}
+
+// recSpan is rec[lo:hi], or nil when rec is.
+func recSpan(rec []reuse, lo, hi int) []reuse {
+	if rec == nil {
+		return nil
+	}
+	return rec[lo:hi]
 }
 
 // DirectFetches simulates a single LRU pool of the given size over the trace

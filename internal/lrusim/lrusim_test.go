@@ -359,7 +359,7 @@ func TestAnalyzePartsMatchesSerialProperty(t *testing.T) {
 					return false
 				}
 				for parts := 1; parts <= 8; parts++ {
-					a := analyzeParts(trace, parts)
+					a := analyzeParts(trace, nil, parts)
 					got, gotCurve := a.Histogram(), a.Curve()
 					accumPool.Put(a)
 					if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotCurve, wantCurve) {
@@ -562,6 +562,31 @@ func BenchmarkAnalyze(b *testing.B) {
 // chunk's distinct pages are a small share of its references, as in every
 // index scan with several records per page.
 func BenchmarkAnalyzeSplit(b *testing.B) {
+	split := max(2, runtime.GOMAXPROCS(0))
+	for _, c := range splitBenchTraces() {
+		for _, parts := range []int{1, split} {
+			mode := "serial"
+			if parts > 1 {
+				mode = "split"
+			}
+			b.Run(c.name+"/"+mode, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					accumPool.Put(analyzeParts(c.trace, nil, parts))
+				}
+			})
+		}
+	}
+}
+
+// benchTrace is one named benchmark input.
+type benchTrace struct {
+	name  string
+	trace Trace
+}
+
+// splitBenchTraces are the split benchmarks' offline-fit-sized traces.
+func splitBenchTraces() []benchTrace {
 	const n = 25_000
 	rng := rand.New(rand.NewSource(1))
 	clustered := clusteredTrace(rng, n, 625, 8)
@@ -571,24 +596,7 @@ func BenchmarkAnalyzeSplit(b *testing.B) {
 	for i := range twoPasses {
 		twoPasses[i] = storage.PageID(i % (n / 2))
 	}
-	split := max(2, runtime.GOMAXPROCS(0))
-	for _, c := range []struct {
-		name  string
-		trace Trace
-	}{{"clustered", clustered}, {"unclustered", unclustered}, {"two-passes", twoPasses}} {
-		for _, parts := range []int{1, split} {
-			mode := "serial"
-			if parts > 1 {
-				mode = "split"
-			}
-			b.Run(c.name+"/"+mode, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					accumPool.Put(analyzeParts(c.trace, parts))
-				}
-			})
-		}
-	}
+	return []benchTrace{{"clustered", clustered}, {"unclustered", unclustered}, {"two-passes", twoPasses}}
 }
 
 func BenchmarkListSimulator(b *testing.B) {

@@ -3,6 +3,8 @@ package lrusim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -84,10 +86,55 @@ func TestWindowsEmptyTrace(t *testing.T) {
 	}
 }
 
+func TestWindowsPartsMatchSerialProperty(t *testing.T) {
+	// The split pass into 1..8 contiguous chunks must record exactly what
+	// one feed of the whole trace records: every position's previous
+	// reference and stack distance, bit for bit, and the same largest
+	// distance. Then every window's curve is the serial index's too.
+	for name, shape := range splitShapes {
+		t.Run(name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				trace := shape(rng, 1+rng.Intn(600))
+				n := len(trace)
+				serial := &Windows{rec: make([]reuse, n)}
+				a := NewAccum()
+				a.feed(trace, serial.rec)
+				serial.maxDist = int32(a.maxDist)
+				for parts := 1; parts <= 8; parts++ {
+					split := &Windows{rec: make([]reuse, n)}
+					b := analyzeParts(trace, split.rec, parts)
+					split.maxDist = int32(b.maxDist)
+					accumPool.Put(b)
+					if !slices.Equal(split.rec, serial.rec) || split.maxDist != serial.maxDist {
+						t.Logf("seed %d: %d parts of %d references record differently from one feed", seed, parts, n)
+						return false
+					}
+					for k := 0; k < 8; k++ {
+						lo := rng.Intn(n + 1)
+						hi := lo + rng.Intn(n-lo+1)
+						got, want := split.Curve(lo, hi), serial.Curve(lo, hi)
+						if !reflect.DeepEqual(got, want) {
+							t.Logf("seed %d: %d parts, window [%d,%d): curve diverges", seed, parts, lo, hi)
+							return false
+						}
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 func TestWindowsConcurrentCurves(t *testing.T) {
 	// One index read by several goroutines at once (run under -race in CI).
+	// The trace is long enough for NewWindows to split its pass whenever
+	// GOMAXPROCS > 1.
 	rng := rand.New(rand.NewSource(3))
-	trace := clusteredTrace(rng, 3000, 300, 5)
+	trace := clusteredTrace(rng, 3*minChunkRefs+1000, 300, 5)
 	w := NewWindows(trace)
 	bounds := make([][2]int, 32)
 	wants := make([]*FetchCurve, len(bounds))
@@ -111,4 +158,28 @@ func TestWindowsConcurrentCurves(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// BenchmarkNewWindowsSplit compares the serial window pass with the split
+// one (max(2, GOMAXPROCS) chunks) on the traces BenchmarkAnalyzeSplit uses.
+// The split records every reference besides merging, so on two sequential
+// passes over n/2 pages, where every page of the later chunk needs Merge's
+// fix-up and record patch, it loses as Analyze's does.
+func BenchmarkNewWindowsSplit(b *testing.B) {
+	split := max(2, runtime.GOMAXPROCS(0))
+	for _, c := range splitBenchTraces() {
+		rec := make([]reuse, len(c.trace))
+		for _, parts := range []int{1, split} {
+			mode := "serial"
+			if parts > 1 {
+				mode = "split"
+			}
+			b.Run(c.name+"/"+mode, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					accumPool.Put(analyzeParts(c.trace, rec, parts))
+				}
+			})
+		}
+	}
 }

@@ -22,7 +22,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"epfis/internal/datagen"
 	"epfis/internal/lrusim"
@@ -137,17 +140,47 @@ type Measured struct {
 // pass over that trace (lrusim.Windows) serves them all: each scan's curve
 // is then a linear filter over its window, bit-identical to a separate
 // stack pass over the sliced trace. The result order matches scans.
+//
+// Both steps use every core. NewWindows splits its pass into up to GOMAXPROCS
+// chunks, and the filters run on up to GOMAXPROCS goroutines, each taking
+// the next unmeasured scan and writing only its own result slot. A trace
+// shorter than minParallelRefs, or GOMAXPROCS = 1, is measured serially on
+// the calling goroutine. Beyond the index, each scan allocates its curve and
+// the curve's array. Measure is safe for concurrent use.
 func Measure(ds *datagen.Dataset, scans []Scan) []Measured {
 	out := make([]Measured, len(scans))
 	if len(scans) == 0 {
 		return out
 	}
-	w := lrusim.NewWindows(ds.Trace())
-	for i, s := range scans {
-		out[i] = Measured{Scan: s, Curve: w.Curve(s.Lo, s.Hi)}
+	trace := ds.Trace()
+	w := lrusim.NewWindows(trace)
+	workers := min(runtime.GOMAXPROCS(0), len(scans))
+	if len(trace) < minParallelRefs {
+		workers = 1
 	}
+	var next atomic.Int64
+	measure := func() {
+		for i := int(next.Add(1) - 1); i < len(scans); i = int(next.Add(1) - 1) {
+			s := scans[i]
+			out[i] = Measured{Scan: s, Curve: w.Curve(s.Lo, s.Hi)}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for k := 1; k < workers; k++ {
+		go func() {
+			defer wg.Done()
+			measure()
+		}()
+	}
+	measure()
+	wg.Wait()
 	return out
 }
+
+// minParallelRefs is the trace length from which Measure fans its filters
+// out, the length from which lrusim.NewWindows splits its pass.
+const minParallelRefs = 8192
 
 // ErrorMetric accumulates the paper's aggregate relative error.
 type ErrorMetric struct {

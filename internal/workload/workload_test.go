@@ -274,15 +274,20 @@ func TestMeasureMatchesPerScanAnalyze(t *testing.T) {
 }
 
 func TestMeasureConcurrentCallsAgree(t *testing.T) {
-	// Measure draws its simulator from a shared pool; concurrent calls on
-	// one dataset must not interfere (run under -race in CI).
-	ds := dataset(t, 10_000, 100, 0.4, 3)
+	// Measure draws its simulators from shared pools and fans its filters
+	// out; concurrent calls on one dataset must not interfere (run under
+	// -race in CI). The trace is long enough for the window pass to split
+	// and the filters to fan out whenever GOMAXPROCS > 1.
+	ds := dataset(t, 3*minParallelRefs, 100, 0.4, 3)
 	g, err := NewGenerator(ds, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scans := g.Mix(40, 0.5)
-	want := Measure(ds, scans)
+	want := make([]Measured, len(scans))
+	for i, s := range scans {
+		want[i] = Measured{Scan: s, Curve: lrusim.Analyze(ds.SliceTrace(s.Lo, s.Hi))}
+	}
 	const callers = 4
 	results := make([][]Measured, callers)
 	var wg sync.WaitGroup
